@@ -9,17 +9,16 @@ chi-square goodness of fit, and distance-weighted deviation statistics.
 from .errors import (BoundaryMean, DegenerateGame, DegenerateTheory,
                      DuplicateId, EmptySession, InsufficientData,
                      InvalidConfidence, InvalidProbability, InvalidRounds,
-                     MaxentGamesError, MixedPopulationSize,
-                     NoConvergence, NoInteriorEquilibrium, NotNormalized,
+                     MaxentGamesError, NoConvergence, NoInteriorEquilibrium, NotNormalized,
                      OutOfRange, ParseError, RangeError, SchemaError)
 from .games import (EquilibriumPoint, PayoffMatrix, Treatment, get_treatment,
                     mixed_nash, treatment_catalog)
 from .kernels import BACKEND
-from .lattice import (LatticeDistribution, MeanObservation, SocialState,
-                      degeneracy, lattice_cells, mean_observation, tally)
+from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
+                      lattice_cells, mean_observation, tally)
 from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      dual_maxent_solve, ect_bound, entropy, entropy_report,
-                     lattice_freedoms, theoretical_entropy)
+                     lattice_freedoms)
 from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
                         canonical_json, parse_treatment_config,
                         read_report, read_session_csv, read_treatment_config,
@@ -33,8 +32,8 @@ from .simulate import (DEFAULT_POPULATION, PolicySpec, SessionRecord,
 from .special import chi_square_quantile, student_t_quantile
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
-                    entropy_deviation, one_sample_t_test, pearson_statistic,
-                    residual_grid, summarize, z_statistic)
+                    entropy_deviation, one_sample_t_test, residual_grid,
+                    summarize, z_statistic)
 
 __version__ = "0.1.0"
 
@@ -45,10 +44,10 @@ __all__ = [
     "EntropyReport", "EquilibriumPoint", "InsufficientData",
     "InvalidConfidence", "InvalidProbability", "InvalidRounds",
     "LatticeDistribution", "MaxentGamesError", "MaxentPrediction",
-    "MeanObservation", "MixedPopulationSize", "NoConvergence",
+    "MeanObservation", "NoConvergence",
     "NoInteriorEquilibrium", "NotNormalized", "OutOfRange", "ParseError",
     "PayoffMatrix", "PolicySpec", "RangeError", "SchemaError",
-    "SessionRecord", "SocialState", "SummaryStats", "TTestReport",
+    "SessionRecord", "SummaryStats", "TTestReport",
     "Treatment", "analyze_session", "binomial_prediction", "canonical_json",
     "chi_square_gof", "chi_square_quantile", "degeneracy",
     "deviation_report", "dual_maxent_solve",
@@ -56,12 +55,11 @@ __all__ = [
     "get_treatment", "lattice_cells", "lattice_freedoms", "logit_policy",
     "mean_observation", "mixed_nash", "mixed_policy", "nash_policy",
     "one_sample_t_test", "parse_policy", "parse_treatment_config",
-    "pearson_statistic", "read_report", "read_session_csv",
+    "read_report", "read_session_csv",
     "read_treatment_config", "render_lattice_svg", "report_from_json",
     "report_to_json", "residual_grid", "run_counts", "run_ensemble",
     "run_session", "session_digest", "session_from_csv", "session_to_csv",
     "student_t_quantile", "summarize", "summarize_ensemble", "tally",
-    "theoretical_entropy",
     "treatment_catalog", "write_lattice_svg", "write_report",
     "write_session_csv",
 ]

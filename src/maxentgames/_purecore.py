@@ -21,6 +21,7 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _DOUBLE_UNIT = 2.0 ** -53
+_MAX_POP = 64  # the compiled twin keeps its counts in a fixed-size C array
 
 
 def _rotl(x: int, k: int) -> int:
@@ -67,6 +68,8 @@ def simulate_session(n: int, rounds: int, mode: int, probs: tuple[float, ...],
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
+    if n > _MAX_POP:
+        raise ValueError(f"compiled kernel supports populations up to {_MAX_POP}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
 

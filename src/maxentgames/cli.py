@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import MaxentGamesError
 from .games import Treatment, get_treatment, mixed_nash, treatment_catalog
-from .lattice import MeanObservation
+from .lattice import MeanObservation, lattice_cells
 from .maxent import (MaxentPrediction, binomial_prediction, dual_maxent_solve,
                      ect_bound)
 from .sessionio import (AnalysisReport, analyze_session, canonical_json,
@@ -114,8 +114,11 @@ def _session_line(name: str, report: AnalysisReport) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     reports = []
+    distributions = []  # kept for --svg, so each CSV is read once
     for g, path in enumerate(args.sessions, start=1):
         record = read_session_csv(path)
+        if args.svg is not None:
+            distributions.append(record.distribution())
         reports.append(analyze_session(
             record, source=str(path), group_id=g,
             confidence=args.ect_significance,
@@ -147,10 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.svg is not None:
         svg_dir = Path(args.svg)
         svg_dir.mkdir(parents=True, exist_ok=True)
-        for path in args.sessions:
-            record = read_session_csv(path)
-            write_lattice_svg(record.distribution(),
-                              svg_dir / (Path(path).stem + ".svg"),
+        for path, dist in zip(args.sessions, distributions):
+            write_lattice_svg(dist, svg_dir / (Path(path).stem + ".svg"),
                               title=Path(path).name)
     if args.strict and any(r.chi_square.exceeds for r in reports):
         return 1
@@ -164,9 +165,8 @@ def _print_prediction(prediction: MaxentPrediction) -> None:
           f" S_t={format_float(prediction.s_t)}")
     print("E (rows i=0..n, columns j=0..n):")
     for i in range(n + 1):
-        row = (format_float(prediction.densities[(i, j)])
-               for j in range(n + 1))
-        print("  " + " ".join(row))
+        row = prediction.densities[i * (n + 1):(i + 1) * (n + 1)]
+        print("  " + " ".join(format_float(v) for v in row))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -179,14 +179,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     gap = None
     if args.solver == "dual":
         solved = dual_maxent_solve(mean, args.population, initial=(0.0, 0.0))
-        gap = max(abs(solved[cell] - prediction.densities[cell])
-                  for cell in prediction.densities)
+        gap = max(abs(s - e) for s, e in zip(solved, prediction.densities))
         print(f"dual solver sup-norm gap: {format_float(gap)}")
     if args.out is not None:
         obj = {"n": args.population, "mean": [mean.o_p, mean.o_q],
                "s_t": prediction.s_t, "solver": args.solver,
-               "densities": {f"{i},{j}": v
-                             for (i, j), v in prediction.densities.items()}}
+               "densities": {f"{i},{j}": v for (i, j), v
+                             in zip(lattice_cells(args.population),
+                                    prediction.densities)}}
         if gap is not None:
             obj["dual_gap"] = gap
         Path(args.out).write_text(canonical_json(obj) + "\n",

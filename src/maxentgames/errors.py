@@ -25,10 +25,6 @@ class EmptySession(MaxentGamesError):
     """A tally was requested for an empty state sequence."""
 
 
-class MixedPopulationSize(MaxentGamesError):
-    """States with differing population sizes were pooled."""
-
-
 class NotNormalized(MaxentGamesError):
     """A density map does not sum to one within tolerance."""
 

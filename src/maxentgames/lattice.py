@@ -8,32 +8,10 @@ state pools C(n,i)*C(n,j) individual action profiles (its degeneracy).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptySession, MixedPopulationSize, OutOfRange
-
-
-@dataclass(frozen=True, slots=True)
-class SocialState:
-    """One round's aggregate outcome for populations of size n."""
-
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise OutOfRange(f"population size must be positive, got {self.n}")
-        if not (0 <= self.i <= self.n and 0 <= self.j <= self.n):
-            raise OutOfRange(
-                f"state ({self.i}, {self.j}) outside lattice for n={self.n}")
-
-    @property
-    def coords(self) -> tuple[float, float]:
-        """Position in the unit square: (i/n, j/n)."""
-        return (self.i / self.n, self.j / self.n)
+from .errors import EmptySession, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -72,19 +50,25 @@ def lattice_cells(n: int) -> Iterator[tuple[int, int]]:
 
 
 class LatticeDistribution:
-    """Observation counts over the lattice with their total round count."""
+    """Observation counts over the lattice with their total round count.
 
-    def __init__(self, n: int, counts: Mapping[tuple[int, int], int],
+    `counts` is the row-major flat vector indexed by i*(n+1)+j, the layout
+    the kernels return; every per-cell quantity uses it.
+    """
+
+    def __init__(self, n: int, counts: Sequence[int],
                  total: int | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        for (i, j), c in counts.items():
-            if not (0 <= i <= n and 0 <= j <= n):
-                raise OutOfRange(f"count cell ({i}, {j}) outside lattice for n={n}")
-            if c < 0:
-                raise ValueError(f"negative count at ({i}, {j})")
-            if c:
-                clean[(i, j)] = int(c)
-        observed = sum(clean.values())
+        if n < 1:
+            raise OutOfRange(f"population size must be positive, got {n}")
+        counts = list(counts)
+        if len(counts) != (n + 1) ** 2:
+            raise OutOfRange(f"{len(counts)} counts do not cover the "
+                             f"{(n + 1) ** 2} cells of the lattice for n={n}")
+        for index, c in enumerate(counts):
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"count {c!r} at {divmod(index, n + 1)} "
+                                 "is not a non-negative integer")
+        observed = sum(counts)
         if total is None:
             total = observed
         if observed != total:
@@ -92,19 +76,20 @@ class LatticeDistribution:
         if total < 1:
             raise EmptySession("a distribution needs at least one observation")
         self.n = n
-        self.counts = clean
+        self.counts = counts
         self.total = total
 
     def count(self, i: int, j: int) -> int:
-        return self.counts.get((i, j), 0)
+        if not (0 <= i <= self.n and 0 <= j <= self.n):
+            raise OutOfRange(f"({i}, {j}) outside lattice for n={self.n}")
+        return self.counts[i * (self.n + 1) + j]
 
     def density(self, i: int, j: int) -> float:
-        return self.counts.get((i, j), 0) / self.total
+        return self.count(i, j) / self.total
 
-    def densities(self) -> dict[tuple[int, int], float]:
-        """Full-grid density map in row-major order."""
-        return {cell: self.counts.get(cell, 0) / self.total
-                for cell in lattice_cells(self.n)}
+    def densities(self) -> list[float]:
+        """Row-major density vector."""
+        return [c / self.total for c in self.counts]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticeDistribution)
@@ -112,27 +97,24 @@ class LatticeDistribution:
                 and self.counts == other.counts)
 
     def __repr__(self) -> str:
+        support = sum(1 for c in self.counts if c)
         return (f"LatticeDistribution(n={self.n}, total={self.total}, "
-                f"support={len(self.counts)} cells)")
+                f"support={support} cells)")
 
 
-def tally(states: Iterable[SocialState], n: int) -> LatticeDistribution:
-    """Pool a round sequence into per-state counts.
+def tally(rounds: Iterable[tuple[int, int]], n: int) -> LatticeDistribution:
+    """Pool a round sequence of (i, j) states into per-state counts.
 
-    All states must share the population size n; an empty sequence is an
+    Every state must lie on the lattice for n; an empty sequence is an
     error rather than an empty distribution.
     """
-    counter: Counter[tuple[int, int]] = Counter()
-    total = 0
-    for state in states:
-        if state.n != n:
-            raise MixedPopulationSize(
-                f"state with n={state.n} in a tally for n={n}")
-        counter[(state.i, state.j)] += 1
-        total += 1
-    if total == 0:
-        raise EmptySession("cannot tally an empty state sequence")
-    return LatticeDistribution(n=n, counts=counter, total=total)
+    size = n + 1
+    counts = [0] * (size * size)
+    for (i, j) in rounds:
+        if not (0 <= i <= n and 0 <= j <= n):
+            raise OutOfRange(f"state ({i}, {j}) outside lattice for n={n}")
+        counts[i * size + j] += 1
+    return LatticeDistribution(n=n, counts=counts)
 
 
 def mean_observation(dist: LatticeDistribution) -> MeanObservation:
@@ -140,8 +122,7 @@ def mean_observation(dist: LatticeDistribution) -> MeanObservation:
     o_p = 0.0
     o_q = 0.0
     n = dist.n
-    for (i, j) in lattice_cells(n):
-        c = dist.counts.get((i, j))
+    for (i, j), c in zip(lattice_cells(n), dist.counts):
         if c:
             rho = c / dist.total
             o_p += rho * (i / n)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 from .errors import (BoundaryMean, InvalidConfidence, NoConvergence,
-                     NotNormalized)
+                     NotNormalized, OutOfRange)
 from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
                       lattice_cells, mean_observation)
 from .special import chi_square_quantile
@@ -28,10 +28,12 @@ _NORMALIZATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MaxentPrediction:
-    """Closed-form maximum-entropy density for a given mean, with its entropy."""
+    """Closed-form maximum-entropy density for a given mean, with its entropy.
+
+    `densities` is row-major over the lattice, indexed by i*(n+1)+j."""
 
     n: int
-    densities: dict[tuple[int, int], float]
+    densities: list[float]
     mean: MeanObservation
     s_t: float
 
@@ -47,23 +49,27 @@ class EntropyReport:
     within_bound: bool
 
 
-def entropy(densities: Mapping[tuple[int, int], float], n: int,
+def entropy(densities: Sequence[float], n: int,
             base_bits: int | None = None) -> float:
-    """Degeneracy-corrected entropy of a lattice density map.
+    """Degeneracy-corrected entropy of a row-major lattice density vector.
 
     S = -sum_ij [rho_ij log_g rho_ij - rho_ij log_g D_ij] with g = 2^base_bits
     (default base_bits = 2n) and the 0*log 0 = 0 convention.  The result lies
     in [0, 1]: zero for a point mass on a non-degenerate corner, one for the
     uniform distribution over microstates.
     """
+    if n < 1:
+        raise OutOfRange(f"population size must be positive, got {n}")
+    if len(densities) != (n + 1) ** 2:
+        raise OutOfRange(f"{len(densities)} densities do not cover the "
+                         f"{(n + 1) ** 2} cells of the lattice for n={n}")
     if base_bits is None:
         base_bits = 2 * n
-    total = math.fsum(densities.values())
+    total = math.fsum(densities)
     if abs(total - 1.0) > _NORMALIZATION_TOL:
         raise NotNormalized(f"densities sum to {total!r}, expected 1")
     terms = []
-    for (i, j) in lattice_cells(n):
-        rho = densities.get((i, j), 0.0)
+    for (i, j), rho in zip(lattice_cells(n), densities):
         if rho < 0.0:
             raise NotNormalized(f"negative density at ({i}, {j})")
         if rho > 0.0:
@@ -87,18 +93,12 @@ def binomial_prediction(mean: MeanObservation, n: int) -> MaxentPrediction:
     corresponding lattice edge (0^0 = 1).
     """
     p, q = mean.o_p, mean.o_q
-    densities: dict[tuple[int, int], float] = {}
-    for (i, j) in lattice_cells(n):
-        densities[(i, j)] = (math.comb(n, i) * math.comb(n, j)
-                             * p ** i * (1.0 - p) ** (n - i)
-                             * q ** j * (1.0 - q) ** (n - j))
+    densities = [math.comb(n, i) * math.comb(n, j)
+                 * p ** i * (1.0 - p) ** (n - i)
+                 * q ** j * (1.0 - q) ** (n - j)
+                 for (i, j) in lattice_cells(n)]
     s_t = entropy(densities, n)
     return MaxentPrediction(n=n, densities=densities, mean=mean, s_t=s_t)
-
-
-def theoretical_entropy(prediction: MaxentPrediction) -> float:
-    """Entropy of the Maxent prediction (cached at construction)."""
-    return prediction.s_t
 
 
 def ect_bound(sample_size: int, freedoms: int = 22, confidence: float = 0.95,
@@ -166,7 +166,7 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
                       tolerance: float = 1e-12,
                       max_iterations: int = 200,
                       initial: tuple[float, float] | None = None
-                      ) -> dict[tuple[int, int], float]:
+                      ) -> list[float]:
     """Independent Maxent solver: damped Newton on the Lagrangian dual.
 
     Maximizes the degeneracy-corrected entropy subject to the two mean
@@ -222,9 +222,8 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
     if err > tolerance:
         raise NoConvergence(f"dual solver stalled at residual {err:.3e}")
 
-    weights = {}
-    for (i, j) in lattice_cells(n):
-        weights[(i, j)] = (math.comb(n, i) * math.comb(n, j)
-                           * math.exp(theta[0] * i + theta[1] * j))
-    z = math.fsum(weights.values())
-    return {cell: w / z for cell, w in weights.items()}
+    weights = [math.comb(n, i) * math.comb(n, j)
+               * math.exp(theta[0] * i + theta[1] * j)
+               for (i, j) in lattice_cells(n)]
+    z = math.fsum(weights)
+    return [w / z for w in weights]

@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, get_origin, get_type_hints
 
 from .errors import DuplicateId, ParseError, RangeError, SchemaError
 from .games import PayoffMatrix, Treatment
@@ -29,7 +29,7 @@ from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
 from .simulate import SessionRecord, mixed_policy, parse_policy
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
-                    one_sample_t_test, summarize, z_statistic)
+                    one_sample_t_test, residual_grid, summarize, z_statistic)
 
 TOOL_VERSION = "0.1.0"
 
@@ -130,7 +130,12 @@ def session_from_csv(text: str) -> SessionRecord:
     1; treatment, seed, and policy metadata default when absent.  Both the
     count schema and the extended per-agent action schema are accepted.
     """
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
+
+    def meta_int(key: str) -> int:
+        value, line_no = meta.get(key, ("0", 0))
+        return _parse_int(value, key, line_no)
+
     lines = text.splitlines()
     body_start = None
     extended = False
@@ -143,13 +148,14 @@ def session_from_csv(text: str) -> SessionRecord:
             entry = stripped.lstrip("#").strip()
             if "=" in entry:
                 key, _, value = entry.partition("=")
-                meta[key.strip()] = value.strip()
+                meta[key.strip()] = (value.strip(), idx + 1)
             continue
         if "n" not in meta:
             raise SchemaError("missing '# n=' metadata line")
-        n = _parse_int(meta["n"], "n", idx + 1)
+        n = meta_int("n")
         if n < 1:
-            raise RangeError(f"population size must be >= 1, got {n}")
+            raise RangeError(f"line {meta['n'][1]}: population size must "
+                             f"be >= 1, got {n}")
         columns = [c.strip() for c in stripped.split(",")]
         if columns == _CSV_HEADER.split(","):
             extended = False
@@ -164,10 +170,14 @@ def session_from_csv(text: str) -> SessionRecord:
         break
     if body_start is None or n is None:
         raise SchemaError("no data header found")
-    treatment_id = _parse_int(meta.get("treatment", "0"), "treatment", 0)
-    seed = _parse_int(meta.get("seed", "0"), "seed", 0)
-    policy_id = meta.get("policy", mixed_policy(0.5, 0.5).label())
-    parse_policy(policy_id)  # validate early, with a clear error
+    treatment_id = meta_int("treatment")
+    seed = meta_int("seed")
+    policy_id, policy_line = meta.get(
+        "policy", (mixed_policy(0.5, 0.5).label(), 0))
+    try:
+        parse_policy(policy_id)  # validate early, with a clear error
+    except ParseError as exc:
+        raise ParseError(f"line {policy_line}: {exc}") from None
 
     width = 3 if not extended else 1 + 2 * n
     rounds: list[tuple[int, int]] = []
@@ -303,8 +313,7 @@ def analyze_session(record: SessionRecord, source: str = "<memory>",
         # only be that same point mass, so there is no deviation to score
         dev = DeviationReport(d_te=0.0,
                               z=z_statistic(dist, prediction, mean),
-                              per_cell={cell: 0.0
-                                        for cell in lattice_cells(dist.n)},
+                              per_cell=residual_grid(dist, prediction),
                               s_e=ent.s_e, s_t=ent.s_t)
     else:
         dev = deviation_report(dist, prediction, mean, s_e=ent.s_e)
@@ -334,114 +343,40 @@ def summarize_ensemble(reports: Sequence[AnalysisReport],
 # ---------------------------------------------------------------------------
 # report JSON
 
-def _entropy_to_obj(e: EntropyReport) -> dict[str, Any]:
-    return {"s_e": e.s_e, "s_t": e.s_t, "delta_s_bound": e.delta_s_bound,
-            "sample_size": e.sample_size, "within_bound": e.within_bound}
+# One encoder/decoder pair driven by the dataclass fields.  A list field is
+# a row-major per-cell vector; JSON writes it as an object keyed "i,j".
+
+def _to_obj(value: Any) -> Any:
+    if is_dataclass(value):
+        return {f.name: _to_obj(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, list):
+        n = math.isqrt(len(value)) - 1
+        return {f"{i},{j}": v for (i, j), v in zip(lattice_cells(n), value)}
+    return value
 
 
-def _entropy_from_obj(o: dict[str, Any]) -> EntropyReport:
-    return EntropyReport(s_e=o["s_e"], s_t=o["s_t"],
-                         delta_s_bound=o["delta_s_bound"],
-                         sample_size=o["sample_size"],
-                         within_bound=o["within_bound"])
+def _from_obj(cls: type, obj: dict[str, Any]) -> Any:
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        value, hint = obj[f.name], hints[f.name]
+        if is_dataclass(hint):
+            value = _from_obj(hint, value)
+        elif get_origin(hint) is list:
+            n = math.isqrt(len(value)) - 1
+            # look each key up rather than trust key order: sorted "i,j"
+            # text keys stop being row-major once n >= 10
+            index = {f"{i},{j}": k for k, (i, j) in enumerate(lattice_cells(n))}
+            vector = [0.0] * len(index)
+            for key, v in value.items():
+                vector[index[key]] = v
+            value = vector
+        values[f.name] = value
+    return cls(**values)
 
 
-def _chi_to_obj(c: ChiSquareReport) -> dict[str, Any]:
-    return {"statistic": c.statistic, "freedoms": c.freedoms,
-            "criterion": c.criterion, "exceeds": c.exceeds,
-            "cells_used": c.cells_used, "p_value": c.p_value,
-            "significance": c.significance, "sample_size": c.sample_size,
-            "min_expected": c.min_expected, "impossible": c.impossible}
-
-
-def _chi_from_obj(o: dict[str, Any]) -> ChiSquareReport:
-    return ChiSquareReport(statistic=o["statistic"], freedoms=o["freedoms"],
-                           criterion=o["criterion"], exceeds=o["exceeds"],
-                           cells_used=o["cells_used"], p_value=o["p_value"],
-                           significance=o["significance"],
-                           sample_size=o["sample_size"],
-                           min_expected=o["min_expected"],
-                           impossible=o["impossible"])
-
-
-def _deviation_to_obj(d: DeviationReport) -> dict[str, Any]:
-    return {"d_te": d.d_te, "z": d.z, "s_e": d.s_e, "s_t": d.s_t,
-            "per_cell": {f"{i},{j}": v for (i, j), v in d.per_cell.items()}}
-
-
-def _deviation_from_obj(o: dict[str, Any]) -> DeviationReport:
-    per_cell = {}
-    for key, value in o["per_cell"].items():
-        i_text, _, j_text = key.partition(",")
-        per_cell[(int(i_text), int(j_text))] = value
-    return DeviationReport(d_te=o["d_te"], z=o["z"], per_cell=per_cell,
-                           s_e=o["s_e"], s_t=o["s_t"])
-
-
-def report_to_obj(report: AnalysisReport) -> dict[str, Any]:
-    return {"treatment_id": report.treatment_id,
-            "group_id": report.group_id, "source": report.source,
-            "mean_p": report.mean_p, "mean_q": report.mean_q,
-            "entropy": _entropy_to_obj(report.entropy),
-            "chi_square": _chi_to_obj(report.chi_square),
-            "deviation": _deviation_to_obj(report.deviation),
-            "version": report.version,
-            "input_digest": report.input_digest}
-
-
-def report_from_obj(obj: dict[str, Any]) -> AnalysisReport:
-    return AnalysisReport(treatment_id=obj["treatment_id"],
-                          group_id=obj["group_id"], source=obj["source"],
-                          mean_p=obj["mean_p"], mean_q=obj["mean_q"],
-                          entropy=_entropy_from_obj(obj["entropy"]),
-                          chi_square=_chi_from_obj(obj["chi_square"]),
-                          deviation=_deviation_from_obj(obj["deviation"]),
-                          version=obj["version"],
-                          input_digest=obj["input_digest"])
-
-
-def _ttest_to_obj(t: TTestReport) -> dict[str, Any]:
-    return {"t": t.t, "p_value": t.p_value, "freedoms": t.freedoms,
-            "mean": t.mean, "ci_low": t.ci_low, "ci_high": t.ci_high,
-            "confidence": t.confidence}
-
-
-def _ttest_from_obj(o: dict[str, Any]) -> TTestReport:
-    return TTestReport(t=o["t"], p_value=o["p_value"],
-                       freedoms=o["freedoms"], mean=o["mean"],
-                       ci_low=o["ci_low"], ci_high=o["ci_high"],
-                       confidence=o["confidence"])
-
-
-def _summary_to_obj(s: SummaryStats) -> dict[str, Any]:
-    return {"mean": s.mean, "std_error": s.std_error, "ci_low": s.ci_low,
-            "ci_high": s.ci_high, "confidence": s.confidence,
-            "sample_count": s.sample_count}
-
-
-def _summary_from_obj(o: dict[str, Any]) -> SummaryStats:
-    return SummaryStats(mean=o["mean"], std_error=o["std_error"],
-                        ci_low=o["ci_low"], ci_high=o["ci_high"],
-                        confidence=o["confidence"],
-                        sample_count=o["sample_count"])
-
-
-def ensemble_to_obj(summary: EnsembleSummary) -> dict[str, Any]:
-    return {"sessions": summary.sessions,
-            "chi_exceed_count": summary.chi_exceed_count,
-            "d_te": _summary_to_obj(summary.d_te),
-            "z": _summary_to_obj(summary.z),
-            "d_te_test": _ttest_to_obj(summary.d_te_test),
-            "z_test": _ttest_to_obj(summary.z_test)}
-
-
-def ensemble_from_obj(obj: dict[str, Any]) -> EnsembleSummary:
-    return EnsembleSummary(sessions=obj["sessions"],
-                           chi_exceed_count=obj["chi_exceed_count"],
-                           d_te=_summary_from_obj(obj["d_te"]),
-                           z=_summary_from_obj(obj["z"]),
-                           d_te_test=_ttest_from_obj(obj["d_te_test"]),
-                           z_test=_ttest_from_obj(obj["z_test"]))
+report_to_obj = ensemble_to_obj = _to_obj
 
 
 def report_to_json(report: AnalysisReport) -> str:
@@ -454,8 +389,8 @@ def report_from_json(text: str) -> AnalysisReport:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid report JSON: {exc}") from None
     try:
-        return report_from_obj(obj)
-    except (KeyError, TypeError) as exc:
+        return _from_obj(AnalysisReport, obj)
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"report JSON missing field: {exc}") from None
 
 
@@ -549,14 +484,13 @@ def render_lattice_svg(observed: LatticeDistribution,
                  f'{_fmt(y0 + span / 2)})">j (Y agents playing action 1)'
                  '</text>')
 
-    densities = observed.densities()
-    for (i, j) in lattice_cells(n):
+    for (i, j), count, rho, pred in zip(lattice_cells(n), observed.counts,
+                                        observed.densities(),
+                                        prediction.densities):
         cx, cy = x_at(i), y_at(j)
         # one neutral marker per social state, occupied or not
         parts.append(f'<circle class="state" cx="{_fmt(cx)}" '
                      f'cy="{_fmt(cy)}" r="2.20" fill="#999999"/>')
-        rho = densities[(i, j)]
-        pred = prediction.densities[(i, j)]
         if pred > 0.0:
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                          f'r="{_fmt(r_max * math.sqrt(pred))}" fill="none" '
@@ -574,7 +508,6 @@ def render_lattice_svg(observed: LatticeDistribution,
             parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                          f'r="{_fmt(r)}" fill="{color}" '
                          'fill-opacity="0.35"/>')
-        count = observed.count(i, j)
         if count:
             parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy + 4)}" '
                          'font-family="sans-serif" font-size="11" '

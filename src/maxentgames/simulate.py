@@ -18,7 +18,7 @@ from .errors import (EmptySession, InvalidProbability, InvalidRounds,
 from .games import PayoffMatrix, Treatment, mixed_nash
 from .kernels import (MATCHING_ROUND_ROBIN, MATCHING_UNIFORM, MODE_IID,
                       MODE_LOGIT, simulate_session, splitmix64_sequence)
-from .lattice import LatticeDistribution, SocialState, lattice_cells, tally
+from .lattice import LatticeDistribution, tally
 
 DEFAULT_POPULATION = 4
 
@@ -165,18 +165,8 @@ class SessionRecord:
     def policy(self) -> PolicySpec:
         return parse_policy(self.policy_id)
 
-    def states(self) -> list[SocialState]:
-        return [SocialState(i, j, self.n) for (i, j) in self.rounds]
-
     def distribution(self) -> LatticeDistribution:
-        return tally(self.states(), self.n)
-
-
-def _distribution_from_flat(n: int, flat: list[int]) -> LatticeDistribution:
-    size = n + 1
-    counts = {(i, j): flat[i * size + j]
-              for (i, j) in lattice_cells(n) if flat[i * size + j]}
-    return LatticeDistribution(n, counts)
+        return tally(self.rounds, self.n)
 
 
 def _matching_code(matching: str) -> int:
@@ -236,9 +226,9 @@ def run_counts(payoffs: PayoffMatrix, policy: PolicySpec, seed: int,
     if rounds < 1:
         raise InvalidRounds(f"rounds must be >= 1, got {rounds}")
     mode, probs = kernel_parameters(policy, payoffs)
-    flat, _ = simulate_session(n, rounds, mode, probs, seed,
-                               _matching_code(matching), False)
-    return _distribution_from_flat(n, flat)
+    counts, _ = simulate_session(n, rounds, mode, probs, seed,
+                                 _matching_code(matching), False)
+    return LatticeDistribution(n, counts)
 
 
 def derive_treatment_seeds(base_seed: int, count: int) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DegenerateTheory, InsufficientData, InvalidConfidence
 from .lattice import (LatticeDistribution, MeanObservation, lattice_cells,
@@ -47,11 +47,12 @@ class ChiSquareReport:
 @dataclass(frozen=True)
 class DeviationReport:
     """Pattern statistics for one session: Z, the entropy gap D_te, and the
-    signed per-cell density residuals (observed minus predicted)."""
+    signed per-cell density residuals (observed minus predicted), row-major
+    over the lattice."""
 
     d_te: float
     z: float
-    per_cell: dict[tuple[int, int], float]
+    per_cell: list[float]
     s_e: float
     s_t: float
 
@@ -81,26 +82,6 @@ class SummaryStats:
     sample_count: int
 
 
-def pearson_statistic(observed: LatticeDistribution,
-                      prediction: MaxentPrediction) -> float:
-    """Sum of (O - T*E)^2 / (T*E) over cells with E > 0, no pooling.
-
-    An observation in a zero-expectation cell makes the statistic infinite
-    (the observation is impossible under the prediction).
-    """
-    total = observed.total
-    acc = 0.0
-    for cell in lattice_cells(observed.n):
-        expected = total * prediction.densities[cell]
-        count = observed.count(*cell)
-        if expected == 0.0:
-            if count:
-                return math.inf
-            continue
-        acc += (count - expected) ** 2 / expected
-    return acc
-
-
 def chi_square_gof(observed: LatticeDistribution,
                    prediction: MaxentPrediction | None = None,
                    significance: float = 0.05) -> ChiSquareReport:
@@ -108,7 +89,10 @@ def chi_square_gof(observed: LatticeDistribution,
 
     The prediction defaults to the one fitted from the observed mean.
     Freedoms are (n+1)^2 - 3: cells minus normalization minus the two
-    fitted moments.  No cells are pooled.
+    fitted moments.  No cells are pooled: the statistic sums
+    (O - T*E)^2 / (T*E) over cells with E > 0, and an observation in a
+    zero-expectation cell makes it infinite (the observation is impossible
+    under the prediction).
     """
     if not 0.0 < significance < 1.0:
         raise InvalidConfidence(
@@ -121,9 +105,8 @@ def chi_square_gof(observed: LatticeDistribution,
     impossible = False
     cells_used = 0
     min_expected = math.inf
-    for cell in lattice_cells(observed.n):
-        expected = total * prediction.densities[cell]
-        count = observed.count(*cell)
+    for count, density in zip(observed.counts, prediction.densities):
+        expected = total * density
         if expected == 0.0:
             if count:
                 impossible = True
@@ -152,42 +135,33 @@ def entropy_deviation(s_e: float, s_t: float) -> float:
     return 1.0 - s_e / s_t
 
 
-def z_from_densities(observed_densities: Mapping[tuple[int, int], float],
-                     predicted_densities: Mapping[tuple[int, int], float],
-                     mean: tuple[float, float], n: int) -> float:
-    """Distance-weighted density deviation.
+def z_statistic(observed: LatticeDistribution,
+                prediction: MaxentPrediction,
+                mean: MeanObservation | None = None) -> float:
+    """Distance-weighted density deviation, anchored at `mean` (defaults to
+    the observed mean, which equals the prediction's when self-fitted).
 
     Z = sum_ij ||(i/n, j/n) - mean||_2 * (E_ij - rho_ij).  Positive Z means
     observed mass sits nearer the mean than predicted (more concentrated);
     negative Z means mass pushed outward.
     """
-    o_p, o_q = mean
+    if mean is None:
+        mean = mean_observation(observed)
+    n = observed.n
     acc = 0.0
-    for (i, j) in lattice_cells(n):
-        dist = math.hypot(i / n - o_p, j / n - o_q)
-        acc += dist * (predicted_densities[(i, j)]
-                       - observed_densities.get((i, j), 0.0))
+    for (i, j), rho, expected in zip(lattice_cells(n), observed.densities(),
+                                     prediction.densities):
+        dist = math.hypot(i / n - mean.o_p, j / n - mean.o_q)
+        acc += dist * (expected - rho)
     return acc
 
 
-def z_statistic(observed: LatticeDistribution,
-                prediction: MaxentPrediction,
-                mean: MeanObservation | None = None) -> float:
-    """Z for an observed distribution, anchored at `mean` (defaults to the
-    observed mean, which equals the prediction's when self-fitted)."""
-    if mean is None:
-        mean = mean_observation(observed)
-    return z_from_densities(observed.densities(), prediction.densities,
-                            (mean.o_p, mean.o_q), observed.n)
-
-
 def residual_grid(observed: LatticeDistribution,
-                  prediction: MaxentPrediction) -> dict[tuple[int, int], float]:
-    """Per-cell density residuals rho_ij - E_ij (observed minus predicted).
-    Residuals sum to zero since both densities are normalized."""
-    densities = observed.densities()
-    return {cell: densities[cell] - prediction.densities[cell]
-            for cell in lattice_cells(observed.n)}
+                  prediction: MaxentPrediction) -> list[float]:
+    """Row-major per-cell density residuals rho_ij - E_ij (observed minus
+    predicted).  Residuals sum to zero since both densities are normalized."""
+    return [rho - expected for rho, expected
+            in zip(observed.densities(), prediction.densities)]
 
 
 def deviation_report(observed: LatticeDistribution,

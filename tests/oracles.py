@@ -12,11 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
-def microstate_entropy(densities: Mapping[tuple[int, int], float],
-                       n: int) -> float:
+def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
+    """Row-major (n+1)^2 vector from a sparse {(i, j): value} map; cells
+    not named are 0."""
+    vector = [0] * (n + 1) ** 2
+    for (i, j), value in cells.items():
+        assert 0 <= i <= n and 0 <= j <= n, (i, j)
+        vector[i * (n + 1) + j] = value
+    return vector
+
+
+def microstate_entropy(densities: Sequence[float], n: int) -> float:
     """Shannon entropy over all 2^(2n) action profiles, base 2^(2n).
 
     Spreads each state's density uniformly across its own microstates by
@@ -27,7 +36,7 @@ def microstate_entropy(densities: Mapping[tuple[int, int], float],
     for profile in itertools.product((0, 1), repeat=2 * n):
         i = sum(profile[:n])
         j = sum(profile[n:])
-        state_mass = densities.get((i, j), 0.0)
+        state_mass = densities[i * (n + 1) + j]
         if state_mass <= 0.0:
             continue
         copies = sum(1 for other in itertools.product((0, 1), repeat=2 * n)

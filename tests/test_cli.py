@@ -228,6 +228,13 @@ class TestPredict:
         assert run_cli("predict", "1.5", "0.5") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("population", ["0", "-1"])
+    def test_nonpositive_population(self, population, capsys):
+        assert run_cli("predict", "0.5", "0.5",
+                       "--population", population) == 2
+        err = capsys.readouterr().err
+        assert "error: population size must be positive" in err
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

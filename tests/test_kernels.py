@@ -71,6 +71,15 @@ class TestBackendParity:
         assert list(py[0]) == list(cc[0])
         assert py[1] == [tuple(s) for s in cc[1]]
 
+    @needs_fastcore
+    def test_population_limit_message(self):
+        errors = []
+        for impl in (_purecore, _fastcore):
+            with pytest.raises(ValueError) as info:
+                impl.simulate_session(65, 10, 0, IID, 0, 0, False)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
     def test_active_backend_label(self):
         assert BACKEND in ("c", "python")
 
@@ -80,6 +89,12 @@ class TestKernelBehavior:
         a = simulate_session(4, 200, 0, IID, 7, 0, True)
         b = simulate_session(4, 200, 0, IID, 7, 0, True)
         assert list(a[0]) == list(b[0]) and a[1] == b[1]
+
+    def test_population_limit(self):
+        with pytest.raises(ValueError, match="up to 64"):
+            _purecore.simulate_session(65, 10, 0, IID, 0, 0, False)
+        counts, _ = _purecore.simulate_session(64, 10, 0, IID, 0, 0, False)
+        assert len(counts) == 65 * 65 and sum(counts) == 10
 
     def test_counts_sum_to_rounds(self):
         counts, _ = simulate_session(4, 321, 1, LOGIT, 3, 0, False)

@@ -9,16 +9,14 @@ from maxentgames import (
     EmptySession,
     LatticeDistribution,
     MeanObservation,
-    MixedPopulationSize,
     OutOfRange,
-    SocialState,
     degeneracy,
     lattice_cells,
     mean_observation,
     tally,
 )
 
-from oracles import profile_count
+from oracles import flat, profile_count
 
 
 class TestDegeneracy:
@@ -68,21 +66,22 @@ class TestLatticeCells:
 
 
 class TestSocialState:
-    def test_coords(self):
-        assert SocialState(i=1, j=3, n=4).coords == (0.25, 0.75)
+    """A round's social state (i, j), as tally range-checks it."""
 
     def test_corner_states_allowed(self):
-        SocialState(i=0, j=0, n=4)
-        SocialState(i=4, j=4, n=4)
+        dist = tally([(0, 0), (4, 4)], n=4)
+        assert dist.count(0, 0) == dist.count(4, 4) == 1
 
     @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (5, 0), (0, 5)])
     def test_rejects_outside_lattice(self, i, j):
         with pytest.raises(OutOfRange):
-            SocialState(i=i, j=j, n=4)
+            tally([(i, j)], n=4)
 
     def test_rejects_empty_population(self):
         with pytest.raises(OutOfRange):
-            SocialState(i=0, j=0, n=0)
+            tally([(0, 0)], n=0)
+        with pytest.raises(OutOfRange):
+            LatticeDistribution(n=0, counts=[1])
 
 
 class TestMeanObservation:
@@ -95,52 +94,51 @@ class TestMeanObservation:
 
 class TestDistribution:
     def test_density_and_count(self):
-        dist = LatticeDistribution(n=4, counts={(0, 0): 3, (2, 2): 1})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 3, (2, 2): 1}))
         assert dist.total == 4
         assert dist.count(0, 0) == 3
         assert dist.count(1, 1) == 0
         assert dist.density(2, 2) == 0.25
 
     def test_densities_cover_full_grid(self):
-        dist = LatticeDistribution(n=4, counts={(1, 1): 5})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(1, 1): 5}))
         dens = dist.densities()
         assert len(dens) == 25
-        assert math.fsum(dens.values()) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(dens) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_count_cells_dropped_from_support(self):
-        dist = LatticeDistribution(n=4, counts={(0, 0): 2, (1, 1): 0})
-        assert dist.counts == {(0, 0): 2}
+        dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 2, (1, 1): 0}))
+        assert dist.counts == flat(4, {(0, 0): 2})
 
     def test_total_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LatticeDistribution(n=4, counts={(0, 0): 2}, total=3)
+            LatticeDistribution(n=4, counts=flat(4, {(0, 0): 2}), total=3)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            LatticeDistribution(n=4, counts={(0, 0): -1})
+            LatticeDistribution(n=4, counts=flat(4, {(0, 0): -1}))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySession):
-            LatticeDistribution(n=4, counts={})
+            LatticeDistribution(n=4, counts=flat(4, {}))
 
     def test_cell_outside_lattice_rejected(self):
         with pytest.raises(OutOfRange):
-            LatticeDistribution(n=4, counts={(5, 0): 1})
+            LatticeDistribution(n=4, counts=flat(4, {}) + [1])
+        with pytest.raises(OutOfRange):
+            LatticeDistribution(n=4, counts=flat(4, {(0, 0): 1})).count(0, 5)
 
     def test_equality(self):
-        a = LatticeDistribution(n=4, counts={(1, 2): 2})
-        b = LatticeDistribution(n=4, counts={(1, 2): 2})
-        c = LatticeDistribution(n=4, counts={(2, 1): 2})
+        a = LatticeDistribution(n=4, counts=flat(4, {(1, 2): 2}))
+        b = LatticeDistribution(n=4, counts=flat(4, {(1, 2): 2}))
+        c = LatticeDistribution(n=4, counts=flat(4, {(2, 1): 2}))
         assert a == b
         assert a != c
 
 
 class TestTally:
     def test_counts_rounds(self):
-        states = [SocialState(i=1, j=2, n=4),
-                  SocialState(i=1, j=2, n=4),
-                  SocialState(i=4, j=0, n=4)]
-        dist = tally(states, n=4)
+        dist = tally([(1, 2), (1, 2), (4, 0)], n=4)
         assert dist.total == 3
         assert dist.count(1, 2) == 2
         assert dist.count(4, 0) == 1
@@ -149,21 +147,16 @@ class TestTally:
         with pytest.raises(EmptySession):
             tally([], n=4)
 
-    def test_mixed_population_rejected(self):
-        states = [SocialState(i=1, j=1, n=4), SocialState(i=1, j=1, n=3)]
-        with pytest.raises(MixedPopulationSize):
-            tally(states, n=4)
-
 
 class TestMeanOfDistribution:
     def test_point_mass_mean(self):
-        dist = LatticeDistribution(n=4, counts={(1, 3): 10})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(1, 3): 10}))
         mean = mean_observation(dist)
         assert mean.o_p == pytest.approx(0.25)
         assert mean.o_q == pytest.approx(0.75)
 
     def test_corner_mean_stays_in_square(self):
-        dist = LatticeDistribution(n=4, counts={(4, 4): 7})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(4, 4): 7}))
         mean = mean_observation(dist)
         assert mean.o_p == 1.0 and mean.o_q == 1.0
 
@@ -172,8 +165,7 @@ class TestMeanOfDistribution:
                   st.integers(min_value=0, max_value=4)),
         min_size=1, max_size=60))
     def test_tally_mean_is_arithmetic_mean(self, rounds):
-        states = [SocialState(i=i, j=j, n=4) for i, j in rounds]
-        mean = mean_observation(tally(states, n=4))
+        mean = mean_observation(tally(rounds, n=4))
         expect_p = sum(i for i, _ in rounds) / (4 * len(rounds))
         expect_q = sum(j for _, j in rounds) / (4 * len(rounds))
         assert mean.o_p == pytest.approx(expect_p, abs=1e-12)

@@ -13,6 +13,7 @@ from maxentgames import (
     MeanObservation,
     NoConvergence,
     NotNormalized,
+    OutOfRange,
     binomial_prediction,
     degeneracy,
     dual_maxent_solve,
@@ -21,10 +22,9 @@ from maxentgames import (
     entropy_report,
     lattice_cells,
     lattice_freedoms,
-    theoretical_entropy,
 )
 
-from oracles import microstate_entropy
+from oracles import flat, microstate_entropy
 
 N = 4
 CELLS = list(lattice_cells(N))
@@ -32,13 +32,13 @@ CELLS = list(lattice_cells(N))
 
 def uniform_microstate_density(n):
     total = 2 ** (2 * n)
-    return {(i, j): degeneracy(n, i, j) / total for (i, j) in lattice_cells(n)}
+    return [degeneracy(n, i, j) / total for (i, j) in lattice_cells(n)]
 
 
 def random_density(rng, n):
-    raw = {cell: rng.random() for cell in lattice_cells(n)}
-    z = math.fsum(raw.values())
-    return {cell: v / z for cell, v in raw.items()}
+    raw = [rng.random() for cell in lattice_cells(n)]
+    z = math.fsum(raw)
+    return [v / z for v in raw]
 
 
 class TestEntropy:
@@ -46,30 +46,30 @@ class TestEntropy:
         assert entropy(uniform_microstate_density(N), N) == 1.0
 
     def test_point_mass_on_corner_is_exactly_zero(self):
-        assert entropy({(0, 0): 1.0}, N) == 0.0
-        assert entropy({(N, N): 1.0}, N) == 0.0
+        assert entropy(flat(N, {(0, 0): 1.0}), N) == 0.0
+        assert entropy(flat(N, {(N, N): 1.0}), N) == 0.0
 
     def test_point_mass_on_degenerate_cell(self):
         # all mass on (2,2): S = log2(36)/8, pure degeneracy credit
         expected = math.log2(36) / 8
-        assert entropy({(2, 2): 1.0}, N) == pytest.approx(expected, abs=1e-15)
+        assert entropy(flat(N, {(2, 2): 1.0}), N) == pytest.approx(expected, abs=1e-15)
 
     def test_missing_cells_treated_as_zero(self):
         sparse = {(0, 0): 0.5, (4, 4): 0.5}
-        full = {cell: sparse.get(cell, 0.0) for cell in CELLS}
-        assert entropy(sparse, N) == entropy(full, N)
+        full = [sparse.get(cell, 0.0) for cell in CELLS]
+        assert entropy(flat(N, sparse), N) == entropy(full, N)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
-            entropy({(0, 0): 0.9}, N)
+            entropy(flat(N, {(0, 0): 0.9}), N)
 
     def test_rejects_negative_density(self):
-        dens = {(0, 0): 0.5, (1, 1): 0.6, (2, 2): -0.1}
+        dens = flat(N, {(0, 0): 0.5, (1, 1): 0.6, (2, 2): -0.1})
         with pytest.raises(NotNormalized):
             entropy(dens, N)
 
     def test_base_bits_override(self):
-        dens = {(0, 0): 0.5, (1, 2): 0.5}
+        dens = flat(N, {(0, 0): 0.5, (1, 2): 0.5})
         assert entropy(dens, N, base_bits=16) == pytest.approx(
             entropy(dens, N) * 8 / 16, rel=1e-14)
 
@@ -93,7 +93,7 @@ class TestEntropy:
         # leaving every state's degeneracy (and so the entropy) unchanged
         import random
         dens = random_density(random.Random(seed), N)
-        flipped = {(j, i): v for (i, j), v in dens.items()}
+        flipped = [dens[CELLS.index((j, i))] for (i, j) in CELLS]
         assert entropy(flipped, N) == pytest.approx(entropy(dens, N), rel=1e-13)
 
 
@@ -101,30 +101,30 @@ class TestBinomialPrediction:
     def test_central_cell_value(self):
         # C(4,2)^2 / 2^8 at the (0.5, 0.5) mean
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
-        assert pred.densities[(2, 2)] == pytest.approx(0.140625, abs=1e-15)
+        assert pred.densities[CELLS.index((2, 2))] == pytest.approx(0.140625, abs=1e-15)
 
     def test_balanced_mean_is_uniform_microstates(self):
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
-        for cell, value in uniform_microstate_density(N).items():
-            assert pred.densities[cell] == pytest.approx(value, abs=1e-16)
+        for got, value in zip(pred.densities, uniform_microstate_density(N)):
+            assert got == pytest.approx(value, abs=1e-16)
         assert pred.s_t == 1.0
 
     def test_corner_mean_is_point_mass(self):
         pred = binomial_prediction(MeanObservation(0.0, 0.0), N)
-        assert pred.densities[(0, 0)] == 1.0
+        assert pred.densities[CELLS.index((0, 0))] == 1.0
         assert pred.s_t == 0.0
 
     def test_normalized_at_catalog_equilibrium(self):
         pred = binomial_prediction(MeanObservation(1 / 11, 10 / 11), N)
-        assert math.fsum(pred.densities.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(pred.densities) == pytest.approx(1.0, abs=1e-12)
 
     @given(p=st.floats(min_value=0.0, max_value=1.0),
            q=st.floats(min_value=0.0, max_value=1.0))
     def test_mean_recovery(self, p, q):
         # the prediction's first moments reproduce the constraint vector
         pred = binomial_prediction(MeanObservation(p, q), N)
-        got_p = math.fsum(d * i / N for (i, j), d in pred.densities.items())
-        got_q = math.fsum(d * j / N for (i, j), d in pred.densities.items())
+        got_p = math.fsum(d * i / N for (i, j), d in zip(CELLS, pred.densities))
+        got_q = math.fsum(d * j / N for (i, j), d in zip(CELLS, pred.densities))
         assert got_p == pytest.approx(p, abs=1e-12)
         assert got_q == pytest.approx(q, abs=1e-12)
 
@@ -133,9 +133,12 @@ class TestBinomialPrediction:
         skewed = binomial_prediction(MeanObservation(0.1, 0.1), N)
         assert centered.s_t > skewed.s_t
 
-    def test_theoretical_entropy_accessor(self):
-        pred = binomial_prediction(MeanObservation(0.3, 0.7), N)
-        assert theoretical_entropy(pred) == pred.s_t
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_population(self, n):
+        with pytest.raises(OutOfRange):
+            binomial_prediction(MeanObservation(0.5, 0.5), n)
+        with pytest.raises(OutOfRange):
+            entropy([1.0], n)
 
     @given(p=st.floats(min_value=0.01, max_value=0.99),
            q=st.floats(min_value=0.01, max_value=0.99),
@@ -147,7 +150,7 @@ class TestBinomialPrediction:
         pred = binomial_prediction(MeanObservation(p, q), N)
         # mix the prediction with a random same-mean perturbation built by
         # symmetric two-cell transfers that cancel in both moments
-        dens = dict(pred.densities)
+        dens = dict(zip(CELLS, pred.densities))
         for _ in range(8):
             (i1, j1) = rng.choice(CELLS)
             (i2, j2) = rng.choice(CELLS)
@@ -162,7 +165,7 @@ class TestBinomialPrediction:
             dens[(i2, j2)] -= eps
             dens[mirror1] += eps
             dens[mirror2] += eps
-        assert entropy(dens, N) <= pred.s_t + 1e-12
+        assert entropy(flat(N, dens), N) <= pred.s_t + 1e-12
 
 
 class TestEctBound:
@@ -199,14 +202,14 @@ class TestEctBound:
 
 class TestEntropyReport:
     def test_self_fitted_prediction_brackets_entropy(self):
-        dist = LatticeDistribution(n=N, counts={(1, 3): 150, (2, 2): 50})
+        dist = LatticeDistribution(n=N, counts=flat(N, {(1, 3): 150, (2, 2): 50}))
         report = entropy_report(dist)
         assert report.s_e <= report.s_t + 1e-12
         assert report.sample_size == 200
         assert report.delta_s_bound == pytest.approx(ect_bound(200), rel=1e-14)
 
     def test_sample_size_override(self):
-        dist = LatticeDistribution(n=N, counts={(2, 2): 10})
+        dist = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 10}))
         report = entropy_report(dist, sample_size=2400)
         assert report.sample_size == 2400
         assert report.delta_s_bound == pytest.approx(ect_bound(2400), rel=1e-14)
@@ -214,7 +217,7 @@ class TestEntropyReport:
     def test_within_bound_flag(self):
         # binomial counts scaled exactly: s_e == s_t, gap 0 <= bound
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
-        counts = {cell: round(d * 256) for cell, d in pred.densities.items()}
+        counts = [round(d * 256) for d in pred.densities]
         dist = LatticeDistribution(n=N, counts=counts)
         report = entropy_report(dist)
         assert report.within_bound
@@ -222,13 +225,13 @@ class TestEntropyReport:
 
     def test_concentrated_observation_fails_bound(self):
         # everything on one off-mean cell: huge gap vs tiny bound at M=100000
-        dist = LatticeDistribution(n=N, counts={(1, 0): 50_000, (0, 1): 50_000})
+        dist = LatticeDistribution(n=N, counts=flat(N, {(1, 0): 50_000, (0, 1): 50_000}))
         report = entropy_report(dist)
         assert not report.within_bound
         assert report.s_t - report.s_e > report.delta_s_bound
 
     def test_base_corrected_mode_shrinks_bound(self):
-        dist = LatticeDistribution(n=N, counts={(2, 2): 100})
+        dist = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 100}))
         plain = entropy_report(dist)
         corrected = entropy_report(dist, base_corrected=True)
         assert corrected.delta_s_bound < plain.delta_s_bound
@@ -238,14 +241,14 @@ class TestDualSolver:
     def test_matches_closed_form_balanced(self):
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
         solved = dual_maxent_solve(MeanObservation(0.5, 0.5), N, initial=(0.0, 0.0))
-        gap = max(abs(solved[c] - pred.densities[c]) for c in CELLS)
+        gap = max(abs(s - e) for s, e in zip(solved, pred.densities))
         assert gap <= 1e-12
 
     def test_matches_closed_form_catalog_equilibrium(self):
         mean = MeanObservation(1 / 11, 10 / 11)
         pred = binomial_prediction(mean, N)
         solved = dual_maxent_solve(mean, N, initial=(0.0, 0.0))
-        gap = max(abs(solved[c] - pred.densities[c]) for c in CELLS)
+        gap = max(abs(s - e) for s, e in zip(solved, pred.densities))
         assert gap <= 1e-10
 
     @settings(max_examples=30, deadline=None)
@@ -255,12 +258,12 @@ class TestDualSolver:
         mean = MeanObservation(p, q)
         pred = binomial_prediction(mean, N)
         solved = dual_maxent_solve(mean, N, initial=(0.0, 0.0))
-        gap = max(abs(solved[c] - pred.densities[c]) for c in CELLS)
+        gap = max(abs(s - e) for s, e in zip(solved, pred.densities))
         assert gap <= 1e-8
 
     def test_solution_is_normalized(self):
         solved = dual_maxent_solve(MeanObservation(0.23, 0.81), N)
-        assert math.fsum(solved.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(solved) == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_mean_rejected(self):
         with pytest.raises(BoundaryMean):

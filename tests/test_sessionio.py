@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from maxentgames import (
     AnalysisReport,
     DuplicateId,
+    EnsembleSummary,
     LatticeDistribution,
     MeanObservation,
     ParseError,
@@ -40,7 +41,9 @@ from maxentgames import (
     write_report,
     write_session_csv,
 )
-from maxentgames.sessionio import ensemble_from_obj, ensemble_to_obj, format_float
+from maxentgames.sessionio import _from_obj, ensemble_to_obj, format_float
+
+from oracles import flat
 
 
 def tiny_record():
@@ -182,7 +185,19 @@ class TestSessionCsv:
     def test_invalid_policy_metadata(self):
         text = ("# n=4\n# policy=nonsense()\n"
                 "round,x1_count,y1_count\n1,0,0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 2"):
+            session_from_csv(text)
+
+    @pytest.mark.parametrize("key", ["treatment", "seed"])
+    def test_bad_metadata_names_its_line(self, key):
+        text = f"# n=4\n# {key}=abc\nround,x1_count,y1_count\n1,0,0\n"
+        with pytest.raises(ParseError, match="line 2"):
+            session_from_csv(text)
+
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_bad_population_names_its_line(self, value):
+        text = f"# n={value}\n# seed=1\nround,x1_count,y1_count\n1,0,0\n"
+        with pytest.raises(ParseError, match="line 1"):
             session_from_csv(text)
 
     def test_blank_lines_and_comments_skipped(self):
@@ -289,12 +304,19 @@ class TestAnalyzeSession:
         assert report.entropy.s_t == 0.0
         assert report.deviation.d_te == 0.0
         assert report.deviation.z == 0.0
-        assert all(v == 0.0 for v in report.deviation.per_cell.values())
+        assert report.deviation.per_cell == [0.0] * 25
         assert not report.chi_square.impossible
 
     def test_json_round_trip_lossless(self):
         record = run_session(get_treatment(2), rounds=150, seed=3)
         report = analyze_session(record, source="a.csv", group_id=2)
+        assert report_from_json(report_to_json(report)) == report
+
+    def test_json_round_trip_large_lattice(self):
+        # sorted "i,j" keys are not row-major once n >= 10
+        record = run_session(get_treatment(2), rounds=150, seed=3, n=10)
+        report = analyze_session(record)
+        assert len(report.deviation.per_cell) == 121
         assert report_from_json(report_to_json(report)) == report
 
     def test_file_round_trip(self, tmp_path):
@@ -326,7 +348,7 @@ class TestEnsembleSummary:
         summary = summarize_ensemble(reports)
         assert summary.sessions == 6
         assert 0 <= summary.chi_exceed_count <= 6
-        assert ensemble_from_obj(ensemble_to_obj(summary)) == summary
+        assert _from_obj(EnsembleSummary, ensemble_to_obj(summary)) == summary
 
     def test_aggregates_match_inputs(self):
         records = run_ensemble(get_treatment(1), groups=4, rounds=100,
@@ -364,14 +386,14 @@ class TestLatticeSvg:
 
     def test_no_residual_disks_when_exact(self):
         # observed exactly equals its own fitted prediction at a corner
-        dist = LatticeDistribution(n=4, counts={(0, 0): 10})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 10}))
         markup = render_lattice_svg(dist)
         assert "#c0392b" not in markup and "#2e6da4" not in markup
 
     def test_residual_radius_magnification(self):
         # point mass at center vs balanced prediction: surplus residual
         # 1 - 0.140625 saturates the five-fold area magnification
-        dist = LatticeDistribution(n=4, counts={(2, 2): 100})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(2, 2): 100}))
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), 4)
         markup = render_lattice_svg(dist, prediction,
                                     MeanObservation(0.5, 0.5))
@@ -381,7 +403,7 @@ class TestLatticeSvg:
         assert f'r="{expected:.2f}" fill="#2e6da4"' in markup
 
     def test_counts_labelled(self):
-        dist = LatticeDistribution(n=4, counts={(1, 3): 7, (2, 2): 3})
+        dist = LatticeDistribution(n=4, counts=flat(4, {(1, 3): 7, (2, 2): 3}))
         markup = render_lattice_svg(dist)
         assert ">7</text>" in markup and ">3</text>" in markup
 

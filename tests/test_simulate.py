@@ -235,8 +235,8 @@ class TestSamplingDistribution:
         dist = run_counts(get_treatment(1).payoffs, policy, seed=7,
                           rounds=100_000)
         prediction = binomial_prediction(MeanObservation(0.3, 0.6), 4)
-        gap = max(abs(dist.density(i, j) - prediction.densities[(i, j)])
-                  for (i, j) in prediction.densities)
+        gap = max(abs(d - e) for d, e in zip(dist.densities(),
+                                             prediction.densities))
         assert gap <= 0.02
 
     @settings(max_examples=10, deadline=None)
