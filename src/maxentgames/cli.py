@@ -178,7 +178,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _print_prediction(prediction)
     gap = None
     if args.solver == "dual":
-        solved = dual_maxent_solve(mean, args.population, initial=(0.0, 0.0))
+        solved = dual_maxent_solve(mean, args.population)
         gap = max(abs(s - e) for s, e in zip(solved, prediction.densities))
         print(f"dual solver sup-norm gap: {format_float(gap)}")
     if args.out is not None:

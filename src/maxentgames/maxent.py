@@ -20,10 +20,11 @@ from typing import Sequence
 from .errors import (BoundaryMean, InvalidConfidence, NoConvergence,
                      NotNormalized, OutOfRange)
 from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
-                      lattice_cells, mean_observation)
+                      lattice_cells)
 from .special import chi_square_quantile
 
 _NORMALIZATION_TOL = 1e-9
+_DUAL_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,19 @@ class EntropyReport:
     within_bound: bool
 
 
-def entropy(densities: Sequence[float], n: int,
-            base_bits: int | None = None) -> float:
+def entropy(densities: Sequence[float], n: int) -> float:
     """Degeneracy-corrected entropy of a row-major lattice density vector.
 
-    S = -sum_ij [rho_ij log_g rho_ij - rho_ij log_g D_ij] with g = 2^base_bits
-    (default base_bits = 2n) and the 0*log 0 = 0 convention.  The result lies
-    in [0, 1]: zero for a point mass on a non-degenerate corner, one for the
-    uniform distribution over microstates.
+    S = -sum_ij [rho_ij log_g rho_ij - rho_ij log_g D_ij] with g = 2^(2n)
+    and the 0*log 0 = 0 convention.  The result lies in [0, 1]: zero for a
+    point mass on a non-degenerate corner, one for the uniform distribution
+    over microstates.
     """
     if n < 1:
         raise OutOfRange(f"population size must be positive, got {n}")
     if len(densities) != (n + 1) ** 2:
         raise OutOfRange(f"{len(densities)} densities do not cover the "
                          f"{(n + 1) ** 2} cells of the lattice for n={n}")
-    if base_bits is None:
-        base_bits = 2 * n
     total = math.fsum(densities)
     if abs(total - 1.0) > _NORMALIZATION_TOL:
         raise NotNormalized(f"densities sum to {total!r}, expected 1")
@@ -82,7 +80,7 @@ def entropy(densities: Sequence[float], n: int,
                 terms.append(rho * (math.log2(d) - math.log2(rho)))
             else:
                 terms.append(rho * math.log2(ratio))
-    return math.fsum(terms) / base_bits
+    return math.fsum(terms) / (2 * n)
 
 
 def binomial_prediction(mean: MeanObservation, n: int) -> MaxentPrediction:
@@ -130,19 +128,17 @@ def lattice_freedoms(n: int) -> int:
 
 
 def entropy_report(observed: LatticeDistribution,
-                   prediction: MaxentPrediction | None = None,
+                   prediction: MaxentPrediction,
                    confidence: float = 0.95,
                    sample_size: int | None = None,
                    base_corrected: bool = False) -> EntropyReport:
     """Assemble the entropy comparison for one observed distribution.
 
-    When no prediction is passed, one is fitted from the observed mean, which
-    makes s_e <= s_t structural.  sample_size overrides the ECT bound's M
-    (defaults to the distribution's round count).
+    Against the prediction fitted from the observed mean, s_e <= s_t is
+    structural.  sample_size overrides the ECT bound's M (defaults to the
+    distribution's round count).
     """
     n = observed.n
-    if prediction is None:
-        prediction = binomial_prediction(mean_observation(observed), n)
     s_e = entropy(observed.densities(), n)
     s_t = prediction.s_t
     m = observed.total if sample_size is None else sample_size
@@ -163,18 +159,15 @@ def _moment(n: int, log_weight_step: float) -> tuple[float, float]:
 
 
 def dual_maxent_solve(mean: MeanObservation, n: int,
-                      tolerance: float = 1e-12,
-                      max_iterations: int = 200,
-                      initial: tuple[float, float] | None = None
-                      ) -> list[float]:
+                      max_iterations: int = 200) -> list[float]:
     """Independent Maxent solver: damped Newton on the Lagrangian dual.
 
     Maximizes the degeneracy-corrected entropy subject to the two mean
     constraints by solving the moment-matching equations for the dual
     variables (theta_p, theta_q) of the exponential family
-    rho_ij ~ D_ij exp(theta_p i + theta_q j).  The default start is the
-    closed-form solution theta = logit(mean), so convergence is immediate on
-    exact inputs; `initial` overrides it to exercise the iteration.
+    rho_ij ~ D_ij exp(theta_p i + theta_q j).  The iteration starts at
+    theta = 0 (the uniform microstate distribution), not at the closed-form
+    answer logit(mean), so the solver reaches it on its own.
 
     Exists as an oracle for binomial_prediction; agreement to sup-norm 1e-8
     is part of the acceptance gate.
@@ -182,10 +175,7 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
     p, q = mean.o_p, mean.o_q
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise BoundaryMean(f"dual solver needs an interior mean, got ({p}, {q})")
-    if initial is None:
-        theta = [math.log(p / (1.0 - p)), math.log(q / (1.0 - q))]
-    else:
-        theta = [float(initial[0]), float(initial[1])]
+    theta = [0.0, 0.0]
 
     def residual(th: list[float]) -> tuple[list[float], list[float]]:
         mp, vp = _moment(n, th[0])
@@ -195,7 +185,7 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
     res, var = residual(theta)
     err = max(abs(res[0]), abs(res[1]))
     for _ in range(max_iterations):
-        if err <= tolerance:
+        if err <= _DUAL_TOLERANCE:
             break
         # Diagonal Newton step (the two moments decouple); variances stay
         # positive for interior means so the step is always defined.
@@ -216,10 +206,10 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
                 break
             damping *= 0.5
     else:
-        if err > tolerance:
+        if err > _DUAL_TOLERANCE:
             raise NoConvergence(
                 f"dual solver residual {err:.3e} after {max_iterations} iterations")
-    if err > tolerance:
+    if err > _DUAL_TOLERANCE:
         raise NoConvergence(f"dual solver stalled at residual {err:.3e}")
 
     weights = [math.comb(n, i) * math.comb(n, j)

@@ -24,12 +24,11 @@ from typing import Any, Sequence, get_origin, get_type_hints
 from .errors import DuplicateId, ParseError, RangeError, SchemaError
 from .games import PayoffMatrix, Treatment
 from .lattice import LatticeDistribution, lattice_cells, mean_observation
-from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
-                     entropy_report)
+from .maxent import EntropyReport, binomial_prediction, entropy_report
 from .simulate import SessionRecord, mixed_policy, parse_policy
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
-                    one_sample_t_test, residual_grid, summarize, z_statistic)
+                    one_sample_t_test, summarize)
 
 TOOL_VERSION = "0.1.0"
 
@@ -245,8 +244,11 @@ def parse_treatment_config(text: str) -> list[Treatment]:
             raise RangeError(
                 f"line {line_no}: groups and rounds must be >= 1")
         a11, b11, a12, b12, a21, b21, a22, b22 = cells
-        payoffs = PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
-                               b11=b11, b12=b12, b21=b21, b22=b22)
+        try:
+            payoffs = PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
+                                   b11=b11, b12=b12, b21=b21, b22=b22)
+        except ValueError as exc:  # a non-finite payoff
+            raise RangeError(f"line {line_no}: {exc}") from None
         treatments.append(Treatment(id=tid, payoffs=payoffs, groups=groups,
                                     rounds_per_group=rounds))
     if not treatments:
@@ -308,15 +310,7 @@ def analyze_session(record: SessionRecord, source: str = "<memory>",
                          sample_size=ect_sample_size,
                          base_corrected=base_corrected)
     chi = chi_square_gof(dist, prediction, significance=significance)
-    if prediction.s_t == 0.0:
-        # boundary mean: the prediction is a point mass and the data can
-        # only be that same point mass, so there is no deviation to score
-        dev = DeviationReport(d_te=0.0,
-                              z=z_statistic(dist, prediction, mean),
-                              per_cell=residual_grid(dist, prediction),
-                              s_e=ent.s_e, s_t=ent.s_t)
-    else:
-        dev = deviation_report(dist, prediction, mean, s_e=ent.s_e)
+    dev = deviation_report(dist, prediction, ent.s_e)
     return AnalysisReport(treatment_id=record.treatment_id,
                           group_id=group_id, source=source,
                           mean_p=mean.o_p, mean_q=mean.o_q,
@@ -420,10 +414,9 @@ def _star_points(cx: float, cy: float, outer: float, inner: float) -> str:
     return " ".join(pts)
 
 
-def render_lattice_svg(observed: LatticeDistribution,
-                       prediction: MaxentPrediction | None = None,
-                       mean=None, title: str = "") -> str:
-    """Draw the social-state lattice.
+def render_lattice_svg(observed: LatticeDistribution, title: str = "") -> str:
+    """Draw the social-state lattice against the prediction fitted from its
+    own mean.
 
     Yellow disks have area proportional to the observed density; red (blue)
     disks show positive (negative) residuals against the prediction with
@@ -433,10 +426,8 @@ def render_lattice_svg(observed: LatticeDistribution,
     with no external references.
     """
     n = observed.n
-    if mean is None:
-        mean = mean_observation(observed)
-    if prediction is None:
-        prediction = binomial_prediction(mean, n)
+    mean = mean_observation(observed)
+    prediction = binomial_prediction(mean, n)
     step = 100.0
     x0, y0 = 80.0, 70.0
     span = n * step
@@ -521,8 +512,6 @@ def render_lattice_svg(observed: LatticeDistribution,
 
 
 def write_lattice_svg(observed: LatticeDistribution, path: str | Path,
-                      prediction: MaxentPrediction | None = None,
-                      mean=None, title: str = "") -> None:
-    Path(path).write_text(render_lattice_svg(observed, prediction, mean,
-                                             title),
+                      title: str = "") -> None:
+    Path(path).write_text(render_lattice_svg(observed, title),
                           encoding="utf-8", newline="\n")

@@ -11,6 +11,7 @@ the desk-scale argument ranges used here.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .errors import InvalidProbability
 
@@ -99,19 +100,6 @@ def regularized_gamma_p(a: float, x: float) -> float:
     return 1.0 - _gamma_cont_fraction(a, x)
 
 
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cont_fraction(a, x)
-
-
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab = a + b
@@ -175,15 +163,12 @@ def chi_square_cdf(freedoms: int, x: float) -> float:
     return regularized_gamma_p(freedoms / 2.0, x / 2.0)
 
 
-def chi_square_quantile(freedoms: int, probability: float) -> float:
-    """Inverse chi-square CDF by bracketed bisection to machine precision."""
-    if freedoms < 1:
-        raise ValueError("freedoms must be >= 1")
-    if not 0.0 < probability < 1.0:
-        raise InvalidProbability(
-            f"quantile probability must be in (0, 1), got {probability}")
-    lo, hi = 0.0, float(max(freedoms, 1))
-    while chi_square_cdf(freedoms, hi) < probability:
+def _invert_cdf(cdf: Callable[[float], float], probability: float,
+                hi: float) -> float:
+    """Smallest x >= 0 with cdf(x) >= probability, to machine precision:
+    double `hi` until it brackets the quantile, then bisect [0, hi]."""
+    lo = 0.0
+    while cdf(hi) < probability:
         hi *= 2.0
         if hi > 1e300:
             return hi
@@ -191,11 +176,22 @@ def chi_square_quantile(freedoms: int, probability: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if chi_square_cdf(freedoms, mid) < probability:
+        if cdf(mid) < probability:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def chi_square_quantile(freedoms: int, probability: float) -> float:
+    """Inverse chi-square CDF by bracketed bisection to machine precision."""
+    if freedoms < 1:
+        raise ValueError("freedoms must be >= 1")
+    if not 0.0 < probability < 1.0:
+        raise InvalidProbability(
+            f"quantile probability must be in (0, 1), got {probability}")
+    return _invert_cdf(lambda x: chi_square_cdf(freedoms, x), probability,
+                       float(freedoms))
 
 
 def student_t_cdf(freedoms: int, t: float) -> float:
@@ -204,8 +200,7 @@ def student_t_cdf(freedoms: int, t: float) -> float:
         raise ValueError("freedoms must be >= 1")
     if t == 0.0:
         return 0.5
-    x = freedoms / (freedoms + t * t)
-    tail = 0.5 * regularized_beta(freedoms / 2.0, 0.5, x)
+    tail = 0.5 * student_t_two_sided_p(freedoms, t)
     return 1.0 - tail if t > 0.0 else tail
 
 
@@ -229,17 +224,4 @@ def student_t_quantile(freedoms: int, probability: float) -> float:
         return 0.0
     if probability < 0.5:
         return -student_t_quantile(freedoms, 1.0 - probability)
-    lo, hi = 0.0, 1.0
-    while student_t_cdf(freedoms, hi) < probability:
-        hi *= 2.0
-        if hi > 1e300:
-            return hi
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if student_t_cdf(freedoms, mid) < probability:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _invert_cdf(lambda t: student_t_cdf(freedoms, t), probability, 1.0)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateTheory, InsufficientData, InvalidConfidence
-from .lattice import (LatticeDistribution, MeanObservation, lattice_cells,
-                      mean_observation)
-from .maxent import MaxentPrediction, binomial_prediction, lattice_freedoms
+from .lattice import LatticeDistribution, lattice_cells
+from .maxent import MaxentPrediction, lattice_freedoms
 from .special import (chi_square_cdf, chi_square_quantile,
                       student_t_quantile, student_t_two_sided_p)
 
@@ -83,11 +82,10 @@ class SummaryStats:
 
 
 def chi_square_gof(observed: LatticeDistribution,
-                   prediction: MaxentPrediction | None = None,
+                   prediction: MaxentPrediction,
                    significance: float = 0.05) -> ChiSquareReport:
     """Test an observed distribution against a Maxent prediction.
 
-    The prediction defaults to the one fitted from the observed mean.
     Freedoms are (n+1)^2 - 3: cells minus normalization minus the two
     fitted moments.  No cells are pooled: the statistic sums
     (O - T*E)^2 / (T*E) over cells with E > 0, and an observation in a
@@ -97,9 +95,6 @@ def chi_square_gof(observed: LatticeDistribution,
     if not 0.0 < significance < 1.0:
         raise InvalidConfidence(
             f"significance must be in (0, 1), got {significance}")
-    if prediction is None:
-        prediction = binomial_prediction(mean_observation(observed),
-                                         observed.n)
     total = observed.total
     statistic = 0.0
     impossible = False
@@ -136,17 +131,15 @@ def entropy_deviation(s_e: float, s_t: float) -> float:
 
 
 def z_statistic(observed: LatticeDistribution,
-                prediction: MaxentPrediction,
-                mean: MeanObservation | None = None) -> float:
-    """Distance-weighted density deviation, anchored at `mean` (defaults to
-    the observed mean, which equals the prediction's when self-fitted).
+                prediction: MaxentPrediction) -> float:
+    """Distance-weighted density deviation, anchored at the prediction's
+    mean (the observed mean when the prediction is self-fitted).
 
     Z = sum_ij ||(i/n, j/n) - mean||_2 * (E_ij - rho_ij).  Positive Z means
     observed mass sits nearer the mean than predicted (more concentrated);
     negative Z means mass pushed outward.
     """
-    if mean is None:
-        mean = mean_observation(observed)
+    mean = prediction.mean
     n = observed.n
     acc = 0.0
     for (i, j), rho, expected in zip(lattice_cells(n), observed.densities(),
@@ -165,20 +158,22 @@ def residual_grid(observed: LatticeDistribution,
 
 
 def deviation_report(observed: LatticeDistribution,
-                     prediction: MaxentPrediction | None = None,
-                     mean: MeanObservation | None = None,
-                     s_e: float | None = None) -> DeviationReport:
-    """Z, D_te, and per-cell residuals for one session.  Pass s_e to reuse
-    an already computed observed entropy."""
-    from .maxent import entropy
-    if prediction is None:
-        prediction = binomial_prediction(mean_observation(observed),
-                                         observed.n)
-    if s_e is None:
-        s_e = entropy(observed.densities(), observed.n)
+                     prediction: MaxentPrediction,
+                     s_e: float) -> DeviationReport:
+    """Z, D_te, and per-cell residuals for one session, given its observed
+    entropy s_e.
+
+    When s_e and s_t are both zero the prediction is the point mass the data
+    already are (a corner mean scored against its own fit), so D_te is 0.
+    A zero-entropy prediction against spread data raises DegenerateTheory.
+    """
+    if s_e == 0.0 and prediction.s_t == 0.0:
+        d_te = 0.0
+    else:
+        d_te = entropy_deviation(s_e, prediction.s_t)
     return DeviationReport(
-        d_te=entropy_deviation(s_e, prediction.s_t),
-        z=z_statistic(observed, prediction, mean),
+        d_te=d_te,
+        z=z_statistic(observed, prediction),
         per_cell=residual_grid(observed, prediction),
         s_e=s_e, s_t=prediction.s_t)
 

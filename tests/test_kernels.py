@@ -5,8 +5,10 @@ reproduce it bit for bit on every workload, not just in distribution.
 """
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +181,44 @@ class TestBackendOverride:
         proc = self._run("fortran")
         assert proc.returncode != 0
         assert "MAXENTGAMES_BACKEND" in proc.stderr
+
+
+class TestGeneratedSource:
+    """The committed `_fastcore.c` must be generated from the committed
+    `.pyx`.  Cython quotes each source line it compiles in a comment,
+    marked `# <<<<<<<<<<<<<<`, under a `/* "maxentgames/_fastcore.pyx":N`
+    header; every quoted line must still be line N of the `.pyx`.  Needs
+    no Cython, so an edit to the `.pyx` that was not regenerated fails here.
+    """
+
+    PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maxentgames"
+    HEADER = re.compile(r'/\* "maxentgames/_fastcore\.pyx":(\d+)$')
+    MARK = "# <<<<<<<<<<<<<<"
+
+    def quoted_lines(self):
+        c_lines = (self.PACKAGE / "_fastcore.c").read_text(
+            encoding="utf-8").splitlines()
+        quoted = []
+        for k, line in enumerate(c_lines):
+            match = self.HEADER.search(line)
+            if match is None:
+                continue
+            for body in c_lines[k + 1:]:
+                if body.rstrip().endswith(self.MARK):
+                    text = body.rstrip()[:-len(self.MARK)].rstrip()
+                    quoted.append((int(match.group(1)), text[len(" * "):]))
+                    break
+                if body.startswith("*/"):
+                    break
+        return quoted
+
+    def test_quoted_lines_match_pyx(self):
+        pyx = (self.PACKAGE / "_fastcore.pyx").read_text(
+            encoding="utf-8").splitlines()
+        quoted = self.quoted_lines()
+        assert len(quoted) >= 100
+        stale = [(n, text, pyx[n - 1].rstrip() if n <= len(pyx) else None)
+                 for n, text in quoted
+                 if n > len(pyx) or pyx[n - 1].rstrip() != text]
+        assert stale == [], ("_fastcore.c is stale; regenerate it with "
+                             "cythonize from _fastcore.pyx")

@@ -24,7 +24,7 @@ from maxentgames import (
     lattice_freedoms,
 )
 
-from oracles import flat, microstate_entropy
+from oracles import fitted, flat, microstate_entropy
 
 N = 4
 CELLS = list(lattice_cells(N))
@@ -67,11 +67,6 @@ class TestEntropy:
         dens = flat(N, {(0, 0): 0.5, (1, 1): 0.6, (2, 2): -0.1})
         with pytest.raises(NotNormalized):
             entropy(dens, N)
-
-    def test_base_bits_override(self):
-        dens = flat(N, {(0, 0): 0.5, (1, 2): 0.5})
-        assert entropy(dens, N, base_bits=16) == pytest.approx(
-            entropy(dens, N) * 8 / 16, rel=1e-14)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_bounded_in_unit_interval(self, seed):
@@ -203,14 +198,14 @@ class TestEctBound:
 class TestEntropyReport:
     def test_self_fitted_prediction_brackets_entropy(self):
         dist = LatticeDistribution(n=N, counts=flat(N, {(1, 3): 150, (2, 2): 50}))
-        report = entropy_report(dist)
+        report = entropy_report(dist, fitted(dist))
         assert report.s_e <= report.s_t + 1e-12
         assert report.sample_size == 200
         assert report.delta_s_bound == pytest.approx(ect_bound(200), rel=1e-14)
 
     def test_sample_size_override(self):
         dist = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 10}))
-        report = entropy_report(dist, sample_size=2400)
+        report = entropy_report(dist, fitted(dist), sample_size=2400)
         assert report.sample_size == 2400
         assert report.delta_s_bound == pytest.approx(ect_bound(2400), rel=1e-14)
 
@@ -219,35 +214,35 @@ class TestEntropyReport:
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
         counts = [round(d * 256) for d in pred.densities]
         dist = LatticeDistribution(n=N, counts=counts)
-        report = entropy_report(dist)
+        report = entropy_report(dist, fitted(dist))
         assert report.within_bound
         assert report.s_e == pytest.approx(report.s_t, abs=1e-14)
 
     def test_concentrated_observation_fails_bound(self):
         # everything on one off-mean cell: huge gap vs tiny bound at M=100000
         dist = LatticeDistribution(n=N, counts=flat(N, {(1, 0): 50_000, (0, 1): 50_000}))
-        report = entropy_report(dist)
+        report = entropy_report(dist, fitted(dist))
         assert not report.within_bound
         assert report.s_t - report.s_e > report.delta_s_bound
 
     def test_base_corrected_mode_shrinks_bound(self):
         dist = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 100}))
-        plain = entropy_report(dist)
-        corrected = entropy_report(dist, base_corrected=True)
+        plain = entropy_report(dist, fitted(dist))
+        corrected = entropy_report(dist, fitted(dist), base_corrected=True)
         assert corrected.delta_s_bound < plain.delta_s_bound
 
 
 class TestDualSolver:
     def test_matches_closed_form_balanced(self):
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
-        solved = dual_maxent_solve(MeanObservation(0.5, 0.5), N, initial=(0.0, 0.0))
+        solved = dual_maxent_solve(MeanObservation(0.5, 0.5), N)
         gap = max(abs(s - e) for s, e in zip(solved, pred.densities))
         assert gap <= 1e-12
 
     def test_matches_closed_form_catalog_equilibrium(self):
         mean = MeanObservation(1 / 11, 10 / 11)
         pred = binomial_prediction(mean, N)
-        solved = dual_maxent_solve(mean, N, initial=(0.0, 0.0))
+        solved = dual_maxent_solve(mean, N)
         gap = max(abs(s - e) for s, e in zip(solved, pred.densities))
         assert gap <= 1e-10
 
@@ -257,7 +252,7 @@ class TestDualSolver:
     def test_matches_closed_form_generic(self, p, q):
         mean = MeanObservation(p, q)
         pred = binomial_prediction(mean, N)
-        solved = dual_maxent_solve(mean, N, initial=(0.0, 0.0))
+        solved = dual_maxent_solve(mean, N)
         gap = max(abs(s - e) for s, e in zip(solved, pred.densities))
         assert gap <= 1e-8
 
@@ -273,5 +268,4 @@ class TestDualSolver:
 
     def test_no_convergence_when_starved(self):
         with pytest.raises(NoConvergence):
-            dual_maxent_solve(MeanObservation(0.9, 0.9), N,
-                              initial=(-30.0, -30.0), max_iterations=1)
+            dual_maxent_solve(MeanObservation(0.9, 0.9), N, max_iterations=1)

@@ -13,13 +13,11 @@ from maxentgames import (
     DuplicateId,
     EnsembleSummary,
     LatticeDistribution,
-    MeanObservation,
     ParseError,
     RangeError,
     SchemaError,
     SessionRecord,
     analyze_session,
-    binomial_prediction,
     canonical_json,
     get_treatment,
     mixed_policy,
@@ -259,6 +257,13 @@ class TestTreatmentConfig:
         with pytest.raises(ParseError):
             parse_treatment_config("1 x 8 0 18 9 9 10 8 12 200\n")
 
+    def test_non_finite_payoff_names_its_line(self):
+        text = ("1 10 8 0 18 9 9 10 8 12 200\n"
+                "2 inf 8 0 18 9 9 10 8 12 200\n")
+        with pytest.raises(RangeError, match="line 2: payoff a11 must be "
+                                             "finite"):
+            parse_treatment_config(text)
+
     def test_duplicate_id(self):
         text = ("1 10 8 0 18 9 9 10 8 12 200\n"
                 "1 9 4 0 13 6 7 8 5 12 200\n")
@@ -391,12 +396,10 @@ class TestLatticeSvg:
         assert "#c0392b" not in markup and "#2e6da4" not in markup
 
     def test_residual_radius_magnification(self):
-        # point mass at center vs balanced prediction: surplus residual
+        # point mass at center vs its balanced self-fit: surplus residual
         # 1 - 0.140625 saturates the five-fold area magnification
         dist = LatticeDistribution(n=4, counts=flat(4, {(2, 2): 100}))
-        prediction = binomial_prediction(MeanObservation(0.5, 0.5), 4)
-        markup = render_lattice_svg(dist, prediction,
-                                    MeanObservation(0.5, 0.5))
+        markup = render_lattice_svg(dist)
         assert 'r="42.00" fill="#c0392b"' in markup
         # deficit at (0,0): r = 42 * sqrt(5 / 256)
         expected = 42.0 * math.sqrt(5.0 / 256.0)

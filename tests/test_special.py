@@ -13,7 +13,6 @@ from maxentgames.special import (
     log_gamma,
     regularized_beta,
     regularized_gamma_p,
-    regularized_gamma_q,
     student_t_cdf,
     student_t_two_sided_p,
 )
@@ -43,12 +42,6 @@ class TestRegularizedGamma:
     def test_against_scipy(self, a, x):
         assert regularized_gamma_p(a, x) == pytest.approx(
             sp.gammainc(a, x), abs=1e-11)
-
-    @given(a=st.floats(min_value=0.2, max_value=60.0),
-           x=st.floats(min_value=0.0, max_value=200.0))
-    def test_p_q_complementary(self, a, x):
-        assert regularized_gamma_p(a, x) + regularized_gamma_q(a, x) == \
-            pytest.approx(1.0, abs=1e-12)
 
 
 class TestRegularizedBeta:

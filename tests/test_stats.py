@@ -19,6 +19,7 @@ from maxentgames import (
     chi_square_gof,
     degeneracy,
     deviation_report,
+    entropy,
     entropy_deviation,
     lattice_cells,
     one_sample_t_test,
@@ -27,7 +28,7 @@ from maxentgames import (
     z_statistic,
 )
 
-from oracles import flat
+from oracles import fitted, flat
 
 N = 4
 CELLS = list(lattice_cells(N))
@@ -78,7 +79,8 @@ class TestChiSquare:
         assert statistic > 33.924438471443793
 
     def test_criterion_and_freedoms(self):
-        report = chi_square_gof(microstate_counts())
+        observed = microstate_counts()
+        report = chi_square_gof(observed, fitted(observed))
         assert report.freedoms == 22
         assert report.criterion == pytest.approx(33.924438471443793, abs=1e-9)
         assert report.significance == 0.05
@@ -130,16 +132,9 @@ class TestChiSquare:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_invalid_significance(self):
+        observed = microstate_counts()
         with pytest.raises(InvalidConfidence):
-            chi_square_gof(microstate_counts(), significance=0.0)
-
-    def test_self_fitted_prediction_default(self):
-        rng = random.Random(4)
-        observed = random_counts(rng)
-        from maxentgames import mean_observation
-        explicit = chi_square_gof(
-            observed, binomial_prediction(mean_observation(observed), N))
-        assert chi_square_gof(observed).statistic == explicit.statistic
+            chi_square_gof(observed, fitted(observed), significance=0.0)
 
 
 class TestZStatistic:
@@ -152,7 +147,7 @@ class TestZStatistic:
                                      mean=mean, s_t=0.0)
         observed = LatticeDistribution(
             n=n, counts=flat(n, {(1, 1): 99, (2, 2): 1}))
-        z = z_statistic(observed, predicted, mean)
+        z = z_statistic(observed, predicted)
         assert z == pytest.approx(-0.01 * math.sqrt(0.5), abs=1e-15)
 
     def test_zero_when_distributions_equal(self):
@@ -165,7 +160,7 @@ class TestZStatistic:
         # all observed mass on the cell at the prediction's mean
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         observed = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 100}))
-        z = z_statistic(observed, prediction, MeanObservation(0.5, 0.5))
+        z = z_statistic(observed, prediction)
         assert z > 0
 
     def test_dispersion_is_negative(self):
@@ -173,7 +168,7 @@ class TestZStatistic:
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         observed = LatticeDistribution(
             n=N, counts=flat(N, {(0, 0): 50, (4, 4): 50}))
-        z = z_statistic(observed, prediction, MeanObservation(0.5, 0.5))
+        z = z_statistic(observed, prediction)
         assert z < 0
 
     @given(seed=st.integers(min_value=0, max_value=5000))
@@ -192,8 +187,8 @@ class TestZStatistic:
 
         swapped_pred = MaxentPrediction(n=N, densities=obs.densities(),
                                         mean=mean, s_t=0.0)
-        forward = z_statistic(obs, pred, mean)
-        backward = z_statistic(Swapped(), swapped_pred, mean)
+        forward = z_statistic(obs, pred)
+        backward = z_statistic(Swapped(), swapped_pred)
         assert forward == pytest.approx(-backward, rel=1e-12, abs=1e-15)
 
 
@@ -231,7 +226,8 @@ class TestEntropyDeviation:
     def test_deviation_report_consistency(self):
         observed = LatticeDistribution(
             n=N, counts=flat(N, {(1, 3): 150, (2, 2): 30, (1, 2): 20}))
-        report = deviation_report(observed)
+        report = deviation_report(observed, fitted(observed),
+                                  entropy(observed.densities(), N))
         assert report.d_te == pytest.approx(
             1.0 - report.s_e / report.s_t, abs=1e-15)
         assert report.d_te > 0  # observed is more concentrated
@@ -240,6 +236,26 @@ class TestEntropyDeviation:
         assert report.z == pytest.approx(
             z_statistic(observed, binomial_prediction(
                 MeanObservation(*_mean_of(observed)), N)), rel=1e-12)
+
+    def test_corner_point_mass_against_its_own_fit(self):
+        # the only zero-entropy self-fit: the data are the predicted point
+        # mass, so there is no gap and no deviation to score
+        observed = LatticeDistribution(n=N, counts=flat(N, {(N, 0): 200}))
+        prediction = fitted(observed)
+        assert prediction.s_t == 0.0
+        report = deviation_report(observed, prediction,
+                                  entropy(observed.densities(), N))
+        assert report.d_te == 0.0
+        assert report.z == 0.0
+        assert report.per_cell == [0.0] * len(CELLS)
+
+    def test_zero_entropy_prediction_against_spread_data(self):
+        prediction = binomial_prediction(MeanObservation(1.0, 0.0), N)
+        observed = LatticeDistribution(
+            n=N, counts=flat(N, {(4, 0): 150, (3, 1): 50}))
+        with pytest.raises(DegenerateTheory):
+            deviation_report(observed, prediction,
+                             entropy(observed.densities(), N))
 
 
 def _mean_of(dist):
