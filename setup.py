@@ -2,11 +2,8 @@
 
 The compiled extension is optional.  If Cython or a C compiler is missing the
 package installs anyway and falls back to the pure-Python kernel at import
-time (see maxentgames.kernels).  Set MAXENTGAMES_NO_EXT=1 to skip the build
-explicitly.
+time (see maxentgames.kernels).
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -39,7 +36,7 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-if cythonize is not None and not os.environ.get("MAXENTGAMES_NO_EXT"):
+if cythonize is not None:
     ext_modules = cythonize(
         [
             Extension(

@@ -12,7 +12,8 @@ from .errors import (BoundaryMean, DegenerateGame, DegenerateTheory,
                      MaxentGamesError, NoConvergence, NoInteriorEquilibrium, NotNormalized,
                      OutOfRange, ParseError, RangeError, SchemaError)
 from .games import (EquilibriumPoint, PayoffMatrix, Treatment, get_treatment,
-                    mixed_nash, treatment_catalog)
+                    mixed_nash, parse_treatment_config, read_treatment_config,
+                    treatment_catalog)
 from .kernels import BACKEND
 from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
                       lattice_cells, mean_observation, tally)
@@ -20,8 +21,7 @@ from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      dual_maxent_solve, ect_bound, entropy, entropy_report,
                      lattice_freedoms)
 from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
-                        canonical_json, parse_treatment_config,
-                        read_report, read_session_csv, read_treatment_config,
+                        canonical_json, read_report, read_session_csv,
                         render_lattice_svg, report_from_json, report_to_json,
                         session_digest, session_from_csv, session_to_csv,
                         summarize_ensemble, write_lattice_svg, write_report,

@@ -15,17 +15,18 @@ import sys
 from pathlib import Path
 
 from .errors import MaxentGamesError
-from .games import Treatment, get_treatment, mixed_nash, treatment_catalog
-from .lattice import MeanObservation, lattice_cells
+from .games import (Treatment, get_treatment, mixed_nash,
+                    read_treatment_config, treatment_catalog)
+from .kernels import splitmix64_sequence
+from .lattice import MeanObservation
 from .maxent import (MaxentPrediction, binomial_prediction, dual_maxent_solve,
                      ect_bound)
 from .sessionio import (AnalysisReport, analyze_session, canonical_json,
-                        ensemble_to_obj, format_float, read_session_csv,
-                        read_treatment_config, report_to_obj, session_digest,
-                        summarize_ensemble, write_lattice_svg,
-                        write_session_csv, TOOL_VERSION)
-from .simulate import (PolicySpec, derive_treatment_seeds, logit_policy,
-                       mixed_policy, nash_policy, run_ensemble)
+                        format_float, read_session_csv, session_digest,
+                        summarize_ensemble, to_obj, write_lattice_svg,
+                        write_session_csv, write_text, TOOL_VERSION)
+from .simulate import (PolicySpec, logit_policy, mixed_policy, nash_policy,
+                       run_ensemble)
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,8 +92,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "matching": args.matching, "rounds": len(records[0].rounds),
                 "groups": len(records), "base_seed": args.seed,
                 "sessions": entries}
-    (out / "manifest.json").write_text(canonical_json(manifest) + "\n",
-                                       encoding="utf-8", newline="\n")
+    write_text(out / "manifest.json", canonical_json(manifest) + "\n")
     print(f"wrote {len(records)} sessions + manifest to {out}")
     return 0
 
@@ -142,11 +142,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f" p={ensemble.z_test.p_value:.4g}")
 
     if args.json is not None:
-        obj = {"sessions": [report_to_obj(r) for r in reports],
-               "ensemble": None if ensemble is None
-               else ensemble_to_obj(ensemble)}
-        Path(args.json).write_text(canonical_json(obj) + "\n",
-                                   encoding="utf-8", newline="\n")
+        obj = {"sessions": [to_obj(r) for r in reports],
+               "ensemble": None if ensemble is None else to_obj(ensemble)}
+        write_text(args.json, canonical_json(obj) + "\n")
     if args.svg is not None:
         svg_dir = Path(args.svg)
         svg_dir.mkdir(parents=True, exist_ok=True)
@@ -184,13 +182,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.out is not None:
         obj = {"n": args.population, "mean": [mean.o_p, mean.o_q],
                "s_t": prediction.s_t, "solver": args.solver,
-               "densities": {f"{i},{j}": v for (i, j), v
-                             in zip(lattice_cells(args.population),
-                                    prediction.densities)}}
+               "densities": to_obj(prediction.densities)}
         if gap is not None:
             obj["dual_gap"] = gap
-        Path(args.out).write_text(canonical_json(obj) + "\n",
-                                  encoding="utf-8", newline="\n")
+        write_text(args.out, canonical_json(obj) + "\n")
     return 0
 
 
@@ -218,7 +213,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     (out / "svg").mkdir(parents=True, exist_ok=True)
 
     catalog = treatment_catalog()
-    treatment_seeds = derive_treatment_seeds(args.seed, len(catalog))
+    treatment_seeds = splitmix64_sequence(args.seed, len(catalog))
     bounds = {str(m): ect_bound(m) for m in _CRITERION_SCALES}
     print("delta_s criterion (k=22, F=0.95):")
     for m in _CRITERION_SCALES:
@@ -254,7 +249,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         row = {"id": treatment.id, "p_star": eq.p_star, "q_star": eq.q_star,
                "rounds_per_group": treatment.rounds_per_group,
                "base_seed": t_seed}
-        row.update(ensemble_to_obj(summary))
+        row.update(to_obj(summary))
         treatment_rows.append(row)
         d = summary.d_te
         print(f"  treatment {treatment.id:>2}: groups={summary.sessions:>2}"
@@ -272,11 +267,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     summary_obj = {"version": TOOL_VERSION, "seed": args.seed,
                    "delta_s_criterion": bounds,
                    "treatments": treatment_rows,
-                   "total": ensemble_to_obj(total)}
-    (out / "summary.json").write_text(canonical_json(summary_obj) + "\n",
-                                      encoding="utf-8", newline="\n")
-    (out / "groups.csv").write_text("\n".join(group_lines) + "\n",
-                                    encoding="utf-8", newline="\n")
+                   "total": to_obj(total)}
+    write_text(out / "summary.json", canonical_json(summary_obj) + "\n")
+    write_text(out / "groups.csv", "\n".join(group_lines) + "\n")
     return 0
 
 

@@ -4,14 +4,19 @@ Conventions: the row population is X with strategies {X1, X2}, the column
 population is Y with {Y1, Y2}.  Cell (i, j) pays a_ij to the X agent and
 b_ij to the Y agent.  A population mix is the probability of playing the
 first strategy: p for X1, q for Y1.
+
+The built-in catalog is the shipped table data/treatments.txt, read by the
+same parser as a user's treatment config.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import DegenerateGame, NoInteriorEquilibrium
+from .errors import (DegenerateGame, DuplicateId, NoInteriorEquilibrium,
+                     ParseError, RangeError, SchemaError)
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,6 @@ class PayoffMatrix:
         """Expected payoff of Y1 and Y2 against an X population mixing p on X1."""
         return (self.b11 * p + self.b21 * (1.0 - p),
                 self.b12 * p + self.b22 * (1.0 - p))
-
-    def cells(self) -> tuple[tuple[float, float], ...]:
-        """Cells in reading order: (a11,b11), (a12,b12), (a21,b21), (a22,b22)."""
-        return ((self.a11, self.b11), (self.a12, self.b12),
-                (self.a21, self.b21), (self.a22, self.b22))
 
 
 @dataclass(frozen=True)
@@ -91,46 +91,68 @@ def mixed_nash(payoffs: PayoffMatrix) -> EquilibriumPoint:
     return EquilibriumPoint(p_star=p_star, q_star=q_star)
 
 
-# Built-in catalog, cells in the order (a11,b11, a12,b12, a21,b21, a22,b22).
-# Ids 1-6 are constant-sum games run with 12 groups; 7-12 are non-constant-sum
-# run with 6 groups.  All groups play 200 rounds.
-_CATALOG_CELLS = {
-    1: (10, 8, 0, 18, 9, 9, 10, 8),
-    2: (9, 4, 0, 13, 6, 7, 8, 5),
-    3: (8, 6, 0, 14, 7, 7, 10, 4),
-    4: (7, 4, 0, 11, 5, 6, 9, 2),
-    5: (7, 2, 0, 9, 4, 5, 8, 1),
-    6: (7, 1, 1, 7, 3, 5, 8, 0),
-    7: (10, 12, 4, 22, 9, 9, 14, 8),
-    8: (9, 7, 3, 16, 6, 7, 11, 5),
-    9: (8, 9, 3, 17, 7, 7, 13, 4),
-    10: (7, 6, 2, 13, 5, 6, 11, 2),
-    11: (7, 4, 2, 11, 4, 5, 10, 1),
-    12: (7, 3, 3, 9, 3, 5, 10, 0),
-}
+# ---------------------------------------------------------------------------
+# treatment tables
 
-ROUNDS_PER_GROUP = 200
+_CATALOG_PATH = Path(__file__).parent / "data" / "treatments.txt"
 
 
-def _treatment_from_cells(tid: int, cells: tuple) -> Treatment:
-    a11, b11, a12, b12, a21, b21, a22, b22 = cells
-    return Treatment(
-        id=tid,
-        payoffs=PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
-                             b11=b11, b12=b12, b21=b21, b22=b22),
-        groups=12 if tid <= 6 else 6,
-        rounds_per_group=ROUNDS_PER_GROUP,
-    )
+def parse_treatment_config(text: str) -> list[Treatment]:
+    """Parse a treatment table.
+
+    One treatment per line, whitespace separated:
+    id a11 b11 a12 b12 a21 b21 a22 b22 groups rounds
+    '#' starts a comment; blank lines are skipped.
+    """
+    treatments: list[Treatment] = []
+    seen: set[int] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 11:
+            raise SchemaError(
+                f"line {line_no}: expected 11 columns, got {len(parts)}")
+        try:
+            tid = int(parts[0])
+            cells = [float(v) for v in parts[1:9]]
+            groups = int(parts[9])
+            rounds = int(parts[10])
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
+        if tid in seen:
+            raise DuplicateId(f"line {line_no}: duplicate treatment id {tid}")
+        seen.add(tid)
+        if groups < 1 or rounds < 1:
+            raise RangeError(
+                f"line {line_no}: groups and rounds must be >= 1")
+        a11, b11, a12, b12, a21, b21, a22, b22 = cells
+        try:
+            payoffs = PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
+                                   b11=b11, b12=b12, b21=b21, b22=b22)
+        except ValueError as exc:  # a non-finite payoff
+            raise RangeError(f"line {line_no}: {exc}") from None
+        treatments.append(Treatment(id=tid, payoffs=payoffs, groups=groups,
+                                    rounds_per_group=rounds))
+    if not treatments:
+        raise SchemaError("treatment config has no entries")
+    return treatments
+
+
+def read_treatment_config(path: str | Path) -> list[Treatment]:
+    return parse_treatment_config(Path(path).read_text(encoding="utf-8"))
 
 
 def treatment_catalog() -> list[Treatment]:
-    """The twelve built-in treatments, ordered by id."""
-    return [_treatment_from_cells(tid, _CATALOG_CELLS[tid])
-            for tid in sorted(_CATALOG_CELLS)]
+    """The twelve built-in treatments of the shipped table
+    data/treatments.txt, ordered by id."""
+    return read_treatment_config(_CATALOG_PATH)
 
 
 def get_treatment(tid: int) -> Treatment:
     """Look up a built-in treatment by id (1-12)."""
-    if tid not in _CATALOG_CELLS:
-        raise KeyError(f"unknown treatment id {tid}; catalog has 1-12")
-    return _treatment_from_cells(tid, _CATALOG_CELLS[tid])
+    for treatment in treatment_catalog():
+        if treatment.id == tid:
+            return treatment
+    raise KeyError(f"unknown treatment id {tid}; catalog has 1-12")

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import os
 
+from ._purecore import _splitmix64
+
 MODE_IID = 0
 MODE_LOGIT = 1
 MATCHING_UNIFORM = 0
 MATCHING_ROUND_ROBIN = 1
-
-_MASK = (1 << 64) - 1
 
 _requested = os.environ.get("MAXENTGAMES_BACKEND", "").strip().lower()
 if _requested not in ("", "c", "python"):
@@ -42,15 +42,13 @@ simulate_session = _impl.simulate_session
 
 def splitmix64_sequence(seed: int, count: int) -> list[int]:
     """First `count` splitmix64 outputs for `seed`; used to derive per-group
-    seeds so an ensemble is reproducible from a single base seed."""
+    and per-treatment seeds so an experiment is reproducible from a single
+    base seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    state = seed & _MASK
+    state = seed
     out = []
     for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out.append(z ^ (z >> 31))
+        state, z = _splitmix64(state)
+        out.append(z)
     return out

@@ -10,6 +10,8 @@ Formats are deliberately boring and fully deterministic:
   floats), byte-stable across runs and platforms.
 * lattice SVG: hand-assembled markup, no drawing library, so identical
   input yields identical bytes.
+
+Every output file goes through `write_text`: UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence, get_origin, get_type_hints
 
-from .errors import DuplicateId, ParseError, RangeError, SchemaError
-from .games import PayoffMatrix, Treatment
+from .errors import ParseError, RangeError, SchemaError
 from .lattice import LatticeDistribution, lattice_cells, mean_observation
 from .maxent import EntropyReport, binomial_prediction, entropy_report
 from .simulate import SessionRecord, mixed_policy, parse_policy
@@ -74,6 +75,12 @@ def canonical_json(obj: Any) -> str:
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write an output file: UTF-8 with LF line endings on every platform,
+    so equal text gives equal bytes."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 # ---------------------------------------------------------------------------
 # session CSV
 
@@ -94,8 +101,7 @@ def session_to_csv(record: SessionRecord) -> str:
 
 
 def write_session_csv(record: SessionRecord, path: str | Path) -> None:
-    Path(path).write_text(session_to_csv(record), encoding="utf-8",
-                          newline="\n")
+    write_text(path, session_to_csv(record))
 
 
 def _parse_int(text: str, what: str, line_no: int) -> int:
@@ -211,56 +217,6 @@ def session_digest(record: SessionRecord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# treatment config
-
-def parse_treatment_config(text: str) -> list[Treatment]:
-    """Parse a treatment table.
-
-    One treatment per line, whitespace separated:
-    id a11 b11 a12 b12 a21 b21 a22 b22 groups rounds
-    '#' starts a comment; blank lines are skipped.
-    """
-    treatments: list[Treatment] = []
-    seen: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 11:
-            raise SchemaError(
-                f"line {line_no}: expected 11 columns, got {len(parts)}")
-        try:
-            tid = int(parts[0])
-            cells = [float(v) for v in parts[1:9]]
-            groups = int(parts[9])
-            rounds = int(parts[10])
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from None
-        if tid in seen:
-            raise DuplicateId(f"line {line_no}: duplicate treatment id {tid}")
-        seen.add(tid)
-        if groups < 1 or rounds < 1:
-            raise RangeError(
-                f"line {line_no}: groups and rounds must be >= 1")
-        a11, b11, a12, b12, a21, b21, a22, b22 = cells
-        try:
-            payoffs = PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
-                                   b11=b11, b12=b12, b21=b21, b22=b22)
-        except ValueError as exc:  # a non-finite payoff
-            raise RangeError(f"line {line_no}: {exc}") from None
-        treatments.append(Treatment(id=tid, payoffs=payoffs, groups=groups,
-                                    rounds_per_group=rounds))
-    if not treatments:
-        raise SchemaError("treatment config has no entries")
-    return treatments
-
-
-def read_treatment_config(path: str | Path) -> list[Treatment]:
-    return parse_treatment_config(Path(path).read_text(encoding="utf-8"))
-
-
-# ---------------------------------------------------------------------------
 # analysis
 
 @dataclass(frozen=True)
@@ -340,9 +296,10 @@ def summarize_ensemble(reports: Sequence[AnalysisReport],
 # One encoder/decoder pair driven by the dataclass fields.  A list field is
 # a row-major per-cell vector; JSON writes it as an object keyed "i,j".
 
-def _to_obj(value: Any) -> Any:
+def to_obj(value: Any) -> Any:
+    """JSON-ready form of a report dataclass or a per-cell vector."""
     if is_dataclass(value):
-        return {f.name: _to_obj(getattr(value, f.name))
+        return {f.name: to_obj(getattr(value, f.name))
                 for f in fields(value)}
     if isinstance(value, list):
         n = math.isqrt(len(value)) - 1
@@ -370,11 +327,8 @@ def _from_obj(cls: type, obj: dict[str, Any]) -> Any:
     return cls(**values)
 
 
-report_to_obj = ensemble_to_obj = _to_obj
-
-
 def report_to_json(report: AnalysisReport) -> str:
-    return canonical_json(report_to_obj(report)) + "\n"
+    return canonical_json(to_obj(report)) + "\n"
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -389,8 +343,7 @@ def report_from_json(text: str) -> AnalysisReport:
 
 
 def write_report(report: AnalysisReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8",
-                          newline="\n")
+    write_text(path, report_to_json(report))
 
 
 def read_report(path: str | Path) -> AnalysisReport:
@@ -513,5 +466,4 @@ def render_lattice_svg(observed: LatticeDistribution, title: str = "") -> str:
 
 def write_lattice_svg(observed: LatticeDistribution, path: str | Path,
                       title: str = "") -> None:
-    Path(path).write_text(render_lattice_svg(observed, title),
-                          encoding="utf-8", newline="\n")
+    write_text(path, render_lattice_svg(observed, title))

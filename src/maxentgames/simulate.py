@@ -151,12 +151,15 @@ class SessionRecord:
     policy_id: str
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise OutOfRange(f"population size must be >= 1, got {self.n}")
         if not self.rounds:
             raise EmptySession("session has no rounds")
         for (i, j) in self.rounds:
             if not (0 <= i <= self.n and 0 <= j <= self.n):
                 raise OutOfRange(
                     f"state ({i}, {j}) outside lattice for n={self.n}")
+        parse_policy(self.policy_id)  # a label the CSV reader can read back
 
     @property
     def total(self) -> int:
@@ -229,8 +232,3 @@ def run_counts(payoffs: PayoffMatrix, policy: PolicySpec, seed: int,
     counts, _ = simulate_session(n, rounds, mode, probs, seed,
                                  _matching_code(matching), False)
     return LatticeDistribution(n, counts)
-
-
-def derive_treatment_seeds(base_seed: int, count: int) -> list[int]:
-    """Per-treatment base seeds for a multi-treatment reproduction run."""
-    return splitmix64_sequence(base_seed, count)

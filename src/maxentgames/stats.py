@@ -178,6 +178,21 @@ def deviation_report(observed: LatticeDistribution,
         s_e=s_e, s_t=prediction.s_t)
 
 
+def _sample(values: Sequence[float], confidence: float,
+            what: str) -> tuple[int, float, float]:
+    """Count, mean and standard error of a sample of at least two values."""
+    if len(values) < 2:
+        raise InsufficientData(
+            f"{what} needs at least 2 values, got {len(values)}")
+    if not 0.0 < confidence < 1.0:
+        raise InvalidConfidence(
+            f"confidence must be in (0, 1), got {confidence}")
+    count = len(values)
+    mean = math.fsum(values) / count
+    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    return count, mean, math.sqrt(var / count)
+
+
 def summarize(values: Sequence[float],
               confidence: float = 0.95) -> SummaryStats:
     """Mean, standard error, and t-based confidence interval.
@@ -185,16 +200,7 @@ def summarize(values: Sequence[float],
     A constant sample collapses the interval to the mean.  Needs at least
     two observations.
     """
-    if len(values) < 2:
-        raise InsufficientData(
-            f"summary needs at least 2 values, got {len(values)}")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfidence(
-            f"confidence must be in (0, 1), got {confidence}")
-    count = len(values)
-    mean = math.fsum(values) / count
-    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
-    se = math.sqrt(var / count)
+    count, mean, se = _sample(values, confidence, "summary")
     if se == 0.0:
         return SummaryStats(mean=mean, std_error=0.0, ci_low=mean,
                             ci_high=mean, confidence=confidence,
@@ -213,17 +219,8 @@ def one_sample_t_test(values: Sequence[float], mu0: float = 0.0,
     t = 0 (p = 1) when the mean hits mu0 exactly, else t = +-inf with
     p = 0; reported, not raised.
     """
-    if len(values) < 2:
-        raise InsufficientData(
-            f"t test needs at least 2 values, got {len(values)}")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfidence(
-            f"confidence must be in (0, 1), got {confidence}")
-    count = len(values)
+    count, mean, se = _sample(values, confidence, "t test")
     freedoms = count - 1
-    mean = math.fsum(values) / count
-    var = math.fsum((v - mean) ** 2 for v in values) / freedoms
-    se = math.sqrt(var / count)
     if se == 0.0:
         t = 0.0 if mean == mu0 else math.copysign(math.inf, mean - mu0)
         return TTestReport(t=t, p_value=1.0 if t == 0.0 else 0.0,

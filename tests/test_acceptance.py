@@ -37,8 +37,7 @@ from maxentgames import (
 )
 from maxentgames.cli import main
 from maxentgames.kernels import splitmix64_sequence
-from maxentgames.sessionio import (canonical_json, ensemble_to_obj,
-                                   report_to_obj)
+from maxentgames.sessionio import canonical_json, to_obj
 
 from oracles import fitted
 
@@ -143,11 +142,10 @@ def test_criterion_06_chi_square_calibration():
 def test_criterion_07_ensemble_deviation_scale():
     # full catalog layout at 200 rounds per group: pooled mean D_te is
     # positive (finite-sample concentration) but small
-    from maxentgames.simulate import derive_treatment_seeds
     catalog = treatment_catalog()
     reports = []
     for treatment, t_seed in zip(catalog,
-                                 derive_treatment_seeds(42, len(catalog))):
+                                 splitmix64_sequence(42, len(catalog))):
         for record in run_ensemble(treatment, base_seed=t_seed):
             reports.append(analyze_session(record))
     total = summarize_ensemble(reports)
@@ -224,8 +222,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path, capsys):
                                group_id=g)
                for g, p in enumerate(paths, start=1)]
     expected = canonical_json(
-        {"sessions": [report_to_obj(r) for r in reports],
-         "ensemble": ensemble_to_obj(summarize_ensemble(reports))}) + "\n"
+        {"sessions": [to_obj(r) for r in reports],
+         "ensemble": to_obj(summarize_ensemble(reports))}) + "\n"
     files_ok = report_path.read_text(encoding="utf-8") == expected
 
     capsys.readouterr()

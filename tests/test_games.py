@@ -1,5 +1,10 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -54,6 +59,31 @@ class TestCatalog:
 
     def test_get_treatment_matches_catalog(self):
         assert get_treatment(5) == treatment_catalog()[4]
+
+    def test_built_package_carries_catalog(self, tmp_path):
+        # the catalog is read from data/treatments.txt at run time, so a
+        # build that dropped the package data would fail on first use
+        root = Path(__file__).resolve().parents[1]
+        for name in ("setup.py", "pyproject.toml", "README.md"):
+            shutil.copy(root / name, tmp_path / name)
+        shutil.copytree(root / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.so",
+                                                      "*.egg-info"))
+        lib = tmp_path / "lib"
+        build = subprocess.run([sys.executable, "setup.py", "-q", "build_py",
+                                "--build-lib", str(lib)],
+                               cwd=tmp_path, capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        probe = ("import maxentgames\n"
+                 "print(maxentgames.__file__)\n"
+                 "print(repr(maxentgames.treatment_catalog()))\n")
+        env = dict(os.environ, PYTHONPATH=str(lib))
+        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        module, catalog = result.stdout.splitlines()
+        assert Path(module).is_relative_to(lib)
+        assert catalog == repr(treatment_catalog())
 
 
 class TestMixedNash:
@@ -160,11 +190,6 @@ class TestPayoffMatrix:
         with pytest.raises(ValueError):
             PayoffMatrix(a11=0, a12=0, a21=0, a22=math.inf,
                          b11=0, b12=0, b21=0, b22=0)
-
-    def test_cells_reading_order(self):
-        m = PayoffMatrix(a11=1, a12=2, a21=3, a22=4,
-                         b11=5, b12=6, b21=7, b22=8)
-        assert m.cells() == ((1, 5), (2, 6), (3, 7), (4, 8))
 
     def test_expected_payoffs(self):
         m = get_treatment(1).payoffs

@@ -3,7 +3,6 @@
 import json
 import math
 import xml.etree.ElementTree as ET
-from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,12 +33,11 @@ from maxentgames import (
     session_from_csv,
     session_to_csv,
     summarize_ensemble,
-    treatment_catalog,
     write_lattice_svg,
     write_report,
     write_session_csv,
 )
-from maxentgames.sessionio import _from_obj, ensemble_to_obj, format_float
+from maxentgames.sessionio import _from_obj, format_float, to_obj
 
 from oracles import flat
 
@@ -231,11 +229,6 @@ class TestSessionCsv:
 
 
 class TestTreatmentConfig:
-    def test_shipped_table_matches_catalog(self):
-        path = resources.files("maxentgames.data") / "treatments.txt"
-        treatments = parse_treatment_config(path.read_text(encoding="utf-8"))
-        assert treatments == treatment_catalog()
-
     def test_read_from_path(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("5 7 2 0 9 4 5 8 1 12 200\n", encoding="utf-8")
@@ -353,7 +346,7 @@ class TestEnsembleSummary:
         summary = summarize_ensemble(reports)
         assert summary.sessions == 6
         assert 0 <= summary.chi_exceed_count <= 6
-        assert _from_obj(EnsembleSummary, ensemble_to_obj(summary)) == summary
+        assert _from_obj(EnsembleSummary, to_obj(summary)) == summary
 
     def test_aggregates_match_inputs(self):
         records = run_ensemble(get_treatment(1), groups=4, rounds=100,

@@ -138,6 +138,17 @@ class TestSessionRecord:
             SessionRecord(treatment_id=1, seed=0, n=4, rounds=((5, 0),),
                           policy_id="iid_mixed(p=0.5,q=0.5)")
 
+    def test_rejects_empty_population(self):
+        # (0, 0) is on the n = 0 "lattice", so only the n check catches it
+        with pytest.raises(OutOfRange, match="population size"):
+            SessionRecord(treatment_id=1, seed=0, n=0, rounds=((0, 0),),
+                          policy_id="iid_mixed(p=0.5,q=0.5)")
+
+    def test_rejects_unreadable_policy_label(self):
+        with pytest.raises(ParseError, match="unrecognized policy label"):
+            SessionRecord(treatment_id=1, seed=0, n=4, rounds=((0, 0),),
+                          policy_id="nonsense")
+
 
 class TestRunSession:
     def test_defaults_from_treatment(self):
