@@ -21,8 +21,9 @@ from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      dual_maxent_solve, ect_bound, entropy, entropy_report,
                      lattice_freedoms)
 from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
-                        canonical_json, read_report, read_session_csv,
-                        render_lattice_svg, report_from_json, report_to_json,
+                        canonical_json, fit_prediction, read_report,
+                        read_session_csv, render_lattice_svg,
+                        report_from_json, report_to_json, score_session,
                         session_digest, session_from_csv, session_to_csv,
                         summarize_ensemble, write_lattice_svg, write_report,
                         write_session_csv)
@@ -52,13 +53,15 @@ __all__ = [
     "chi_square_gof", "chi_square_quantile", "degeneracy",
     "deviation_report", "dual_maxent_solve",
     "ect_bound", "entropy", "entropy_deviation", "entropy_report",
-    "get_treatment", "lattice_cells", "lattice_freedoms", "logit_policy",
+    "fit_prediction", "get_treatment", "lattice_cells", "lattice_freedoms",
+    "logit_policy",
     "mean_observation", "mixed_nash", "mixed_policy", "nash_policy",
     "one_sample_t_test", "parse_policy", "parse_treatment_config",
     "read_report", "read_session_csv",
     "read_treatment_config", "render_lattice_svg", "report_from_json",
     "report_to_json", "residual_grid", "run_counts", "run_ensemble",
-    "run_session", "session_digest", "session_from_csv", "session_to_csv",
+    "run_session", "score_session", "session_digest", "session_from_csv",
+    "session_to_csv",
     "student_t_quantile", "summarize", "summarize_ensemble", "tally",
     "treatment_catalog", "write_lattice_svg", "write_report",
     "write_session_csv",

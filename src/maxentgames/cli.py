@@ -22,9 +22,10 @@ from .lattice import MeanObservation
 from .maxent import (MaxentPrediction, binomial_prediction, dual_maxent_solve,
                      ect_bound)
 from .sessionio import (AnalysisReport, analyze_session, canonical_json,
-                        format_float, read_session_csv, session_digest,
-                        summarize_ensemble, to_obj, write_lattice_svg,
-                        write_session_csv, write_text, TOOL_VERSION)
+                        fit_prediction, format_float, read_session_csv,
+                        session_digest, summarize_ensemble, to_obj,
+                        write_lattice_svg, write_session_csv, write_text,
+                        TOOL_VERSION)
 from .simulate import (PolicySpec, logit_policy, mixed_policy, nash_policy,
                        run_ensemble)
 
@@ -114,13 +115,17 @@ def _session_line(name: str, report: AnalysisReport) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     reports = []
-    distributions = []  # kept for --svg, so each CSV is read once
+    # each session is read, tallied and fitted once; --svg draws the same
+    # (tally, fit) pair the report scored
+    fits = []
     for g, path in enumerate(args.sessions, start=1):
         record = read_session_csv(path)
+        dist = record.distribution()
+        prediction = fit_prediction(dist)
         if args.svg is not None:
-            distributions.append(record.distribution())
+            fits.append((dist, prediction))
         reports.append(analyze_session(
-            record, source=str(path), group_id=g,
+            record, dist, prediction, source=str(path), group_id=g,
             confidence=args.ect_significance,
             significance=args.chi_significance,
             base_corrected=args.base_corrected,
@@ -148,9 +153,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.svg is not None:
         svg_dir = Path(args.svg)
         svg_dir.mkdir(parents=True, exist_ok=True)
-        for path, dist in zip(args.sessions, distributions):
+        for path, (dist, prediction) in zip(args.sessions, fits):
             write_lattice_svg(dist, svg_dir / (Path(path).stem + ".svg"),
-                              title=Path(path).name)
+                              prediction, title=Path(path).name)
     if args.strict and any(r.chi_square.exceeds for r in reports):
         return 1
     return 0
@@ -232,8 +237,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         reports = []
         for g, record in enumerate(records, start=1):
             write_session_csv(record, t_dir / _group_name(g))
+            dist = record.distribution()
+            prediction = fit_prediction(dist)
             report = analyze_session(
-                record,
+                record, dist, prediction,
                 source=f"treatment_{treatment.id:02d}/{_group_name(g)}",
                 group_id=g)
             reports.append(report)
@@ -241,7 +248,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             if report.chi_square.exceeds:
                 name = f"treatment_{treatment.id:02d}_group_{g:02d}.svg"
                 write_lattice_svg(
-                    record.distribution(), out / "svg" / name,
+                    dist, out / "svg" / name, prediction,
                     title=f"treatment {treatment.id} group {g} "
                           f"chi2={report.chi_square.statistic:.1f}")
         all_reports.extend(reports)

@@ -19,13 +19,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence, get_origin, get_type_hints
 
 from .errors import ParseError, RangeError, SchemaError
 from .lattice import LatticeDistribution, lattice_cells, mean_observation
-from .maxent import EntropyReport, binomial_prediction, entropy_report
+from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
+                     entropy_report)
 from .simulate import SessionRecord, mixed_policy, parse_policy
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
@@ -128,6 +130,53 @@ def _row_state(parts: list[str], n: int, extended: bool,
     return r, sum(bits[:n]), sum(bits[n:])
 
 
+_PLAIN_COUNT_ROWS = re.compile(r"[0-9]+,[0-9]+,[0-9]+"
+                               r"(?:\n[0-9]+,[0-9]+,[0-9]+)*")
+
+
+def _plain_count_rows(body: list[str], n: int) -> list[tuple[int, int]] | None:
+    """The rounds of a count-schema body in the form session_to_csv writes
+    (digits only, rounds 1, 2, ... in order, every count on the lattice),
+    read in bulk; None for any other body, which _checked_rows then reads
+    or rejects with a line number."""
+    text = "\n".join(body)
+    if not _PLAIN_COUNT_ROWS.fullmatch(text):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if fields[0::3] != [str(r) for r in range(1, len(body) + 1)]:
+        return None
+    # "0" ... str(n) only: a count like "05", or beyond n, falls back
+    count = {str(k): k for k in range(n + 1)}
+    try:
+        return list(zip(map(count.__getitem__, fields[1::3]),
+                        map(count.__getitem__, fields[2::3])))
+    except KeyError:
+        return None
+
+
+def _checked_rows(lines: list[str], body_start: int, n: int,
+                  extended: bool) -> list[tuple[int, int]]:
+    """The rounds of a data section read line by line: blank and comment
+    lines are skipped, and the first bad row raises with its line number."""
+    width = 3 if not extended else 1 + 2 * n
+    rounds: list[tuple[int, int]] = []
+    for idx in range(body_start, len(lines)):
+        stripped = lines[idx].strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split(",")
+        if len(parts) != width:
+            raise SchemaError(
+                f"line {idx + 1}: expected {width} columns, got {len(parts)}")
+        r, i, j = _row_state(parts, n, extended, idx + 1)
+        if r != len(rounds) + 1:
+            raise ParseError(
+                f"line {idx + 1}: round {r} out of order "
+                f"(expected {len(rounds) + 1})")
+        rounds.append((i, j))
+    return rounds
+
+
 def session_from_csv(text: str) -> SessionRecord:
     """Parse a session CSV.
 
@@ -184,26 +233,24 @@ def session_from_csv(text: str) -> SessionRecord:
     except ParseError as exc:
         raise ParseError(f"line {policy_line}: {exc}") from None
 
-    width = 3 if not extended else 1 + 2 * n
-    rounds: list[tuple[int, int]] = []
-    for idx in range(body_start, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(",")
-        if len(parts) != width:
-            raise SchemaError(
-                f"line {idx + 1}: expected {width} columns, got {len(parts)}")
-        r, i, j = _row_state(parts, n, extended, idx + 1)
-        if r != len(rounds) + 1:
-            raise ParseError(
-                f"line {idx + 1}: round {r} out of order "
-                f"(expected {len(rounds) + 1})")
-        rounds.append((i, j))
+    rounds = None if extended else _plain_count_rows(lines[body_start:], n)
+    if rounds is None:
+        rounds = _checked_rows(lines, body_start, n, extended)
     if not rounds:
         raise SchemaError("session file has no data rows")
-    return SessionRecord(treatment_id=treatment_id, seed=seed, n=n,
-                         rounds=tuple(rounds), policy_id=policy_id)
+    return _checked_record(treatment_id=treatment_id, seed=seed, n=n,
+                           rounds=tuple(rounds), policy_id=policy_id)
+
+
+def _checked_record(**values: Any) -> SessionRecord:
+    """A SessionRecord built from values session_from_csv has already
+    checked, each error with its line number: n >= 1, at least one round,
+    every round on the lattice, a readable policy label.  It skips
+    SessionRecord.__post_init__, which would make the same checks again."""
+    record = object.__new__(SessionRecord)
+    for f in fields(SessionRecord):
+        object.__setattr__(record, f.name, values[f.name])
+    return record
 
 
 def read_session_csv(path: str | Path) -> SessionRecord:
@@ -247,29 +294,51 @@ class EnsembleSummary:
     z_test: TTestReport
 
 
-def analyze_session(record: SessionRecord, source: str = "<memory>",
-                    group_id: int = 1, confidence: float = 0.95,
-                    significance: float = 0.05,
-                    base_corrected: bool = False,
-                    ect_sample_size: int | None = None) -> AnalysisReport:
-    """Compute the full statistical comparison for one session.
+def fit_prediction(dist: LatticeDistribution) -> MaxentPrediction:
+    """The Maxent prediction fitted from the distribution's own mean: the
+    data supply the constraints, the maximum-entropy step supplies
+    everything else.  A session is scored and drawn against this fit."""
+    return binomial_prediction(mean_observation(dist), dist.n)
 
-    The session is tested against the prediction fitted from its own mean:
-    the data supply the constraints, the maximum-entropy step supplies
-    everything else.  ect_sample_size overrides the M used in the
-    concentration bound (defaults to the session's round count).
+
+def score_session(dist: LatticeDistribution, prediction: MaxentPrediction,
+                  confidence: float, significance: float,
+                  base_corrected: bool, ect_sample_size: int | None
+                  ) -> tuple[EntropyReport, ChiSquareReport, DeviationReport]:
+    """Score one tally against a prediction, normally its own fit
+    (`fit_prediction`): the entropy comparison with its concentration
+    bound, the chi-square test and the deviation statistics.
+
+    ect_sample_size overrides the M used in the concentration bound (None:
+    the tally's round count).  Needs no session record, so simulated count
+    vectors are scored the same way as sessions read from files.
     """
-    dist = record.distribution()
-    mean = mean_observation(dist)
-    prediction = binomial_prediction(mean, dist.n)
     ent = entropy_report(dist, prediction, confidence=confidence,
                          sample_size=ect_sample_size,
                          base_corrected=base_corrected)
     chi = chi_square_gof(dist, prediction, significance=significance)
     dev = deviation_report(dist, prediction, ent.s_e)
+    return ent, chi, dev
+
+
+def analyze_session(record: SessionRecord, dist: LatticeDistribution,
+                    prediction: MaxentPrediction, source: str = "<memory>",
+                    group_id: int = 1, confidence: float = 0.95,
+                    significance: float = 0.05,
+                    base_corrected: bool = False,
+                    ect_sample_size: int | None = None) -> AnalysisReport:
+    """The full report for one session: `score_session` on the record's
+    tally `dist` and its fit `prediction`, which the caller makes once
+    (`record.distribution()`, `fit_prediction`) so it can draw the same
+    pair, plus where the session came from: its treatment, group, source
+    name, the tool version and the sha256 of its canonical CSV.
+    """
+    ent, chi, dev = score_session(dist, prediction, confidence, significance,
+                                  base_corrected, ect_sample_size)
     return AnalysisReport(treatment_id=record.treatment_id,
                           group_id=group_id, source=source,
-                          mean_p=mean.o_p, mean_q=mean.o_q,
+                          mean_p=prediction.mean.o_p,
+                          mean_q=prediction.mean.o_q,
                           entropy=ent, chi_square=chi, deviation=dev,
                           version=TOOL_VERSION,
                           input_digest=session_digest(record))
@@ -367,20 +436,21 @@ def _star_points(cx: float, cy: float, outer: float, inner: float) -> str:
     return " ".join(pts)
 
 
-def render_lattice_svg(observed: LatticeDistribution, title: str = "") -> str:
-    """Draw the social-state lattice against the prediction fitted from its
-    own mean.
+def render_lattice_svg(observed: LatticeDistribution,
+                       prediction: MaxentPrediction, title: str = "") -> str:
+    """Draw the social-state lattice against a prediction, normally the
+    one fitted from its own mean (`fit_prediction`), made by the caller.
 
     Yellow disks have area proportional to the observed density; red (blue)
     disks show positive (negative) residuals against the prediction with
     area magnified five-fold to stay visible; dashed outlines show the
-    prediction itself; a star marks the mean observation; counts label the
-    occupied cells.  Output is plain markup, deterministic byte for byte,
-    with no external references.
+    prediction itself; a star marks the prediction's mean (the mean
+    observation, for the self-fit); counts label the occupied cells.
+    Output is plain markup, deterministic byte for byte, with no external
+    references.
     """
     n = observed.n
-    mean = mean_observation(observed)
-    prediction = binomial_prediction(mean, n)
+    mean = prediction.mean
     step = 100.0
     x0, y0 = 80.0, 70.0
     span = n * step
@@ -465,5 +535,5 @@ def render_lattice_svg(observed: LatticeDistribution, title: str = "") -> str:
 
 
 def write_lattice_svg(observed: LatticeDistribution, path: str | Path,
-                      title: str = "") -> None:
-    write_text(path, render_lattice_svg(observed, title))
+                      prediction: MaxentPrediction, title: str = "") -> None:
+    write_text(path, render_lattice_svg(observed, prediction, title))

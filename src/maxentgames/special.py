@@ -6,10 +6,17 @@ Implemented in-repo (Lanczos approximation plus the classic series /
 continued-fraction evaluations) so results are bit-reproducible and the
 package stays dependency-free.  Accuracy is comfortably below 1e-9 over
 the desk-scale argument ranges used here.
+
+The two quantile functions are pure in (freedoms, probability) and cost a
+300-step bisection each, while an analysis asks for the same few arguments
+once per session; they are memoized with `functools.lru_cache`, so a value
+is solved once per process and later calls return the same float.  Invalid
+arguments raise on every call (the cache never stores an exception).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 
@@ -183,6 +190,7 @@ def _invert_cdf(cdf: Callable[[float], float], probability: float,
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=None)
 def chi_square_quantile(freedoms: int, probability: float) -> float:
     """Inverse chi-square CDF by bracketed bisection to machine precision."""
     if freedoms < 1:
@@ -213,6 +221,7 @@ def student_t_two_sided_p(freedoms: int, t: float) -> float:
     return regularized_beta(freedoms / 2.0, 0.5, freedoms / (freedoms + t * t))
 
 
+@functools.lru_cache(maxsize=None)
 def student_t_quantile(freedoms: int, probability: float) -> float:
     """Inverse Student-t CDF by symmetry plus bracketed bisection."""
     if freedoms < 1:

@@ -33,6 +33,13 @@ def fitted(dist):
     return binomial_prediction(mean_observation(dist), dist.n)
 
 
+def tally_and_fit(record):
+    """A session record's tally and its self-fit, the pair the CLI makes
+    once per session and passes to `analyze_session` and the SVG."""
+    dist = record.distribution()
+    return dist, fitted(dist)
+
+
 def microstate_entropy(densities: Sequence[float], n: int) -> float:
     """Shannon entropy over all 2^(2n) action profiles, base 2^(2n).
 

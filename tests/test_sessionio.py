@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -17,9 +18,14 @@ from maxentgames import (
     SchemaError,
     SessionRecord,
     analyze_session,
+    binomial_prediction,
     canonical_json,
+    chi_square_quantile,
+    fit_prediction,
     get_treatment,
+    mean_observation,
     mixed_policy,
+    parse_policy,
     parse_treatment_config,
     read_report,
     read_session_csv,
@@ -29,17 +35,43 @@ from maxentgames import (
     report_to_json,
     run_ensemble,
     run_session,
+    score_session,
     session_digest,
     session_from_csv,
     session_to_csv,
+    student_t_quantile,
     summarize_ensemble,
+    tally,
     write_lattice_svg,
     write_report,
     write_session_csv,
 )
-from maxentgames.sessionio import _from_obj, format_float, to_obj
+from maxentgames.cli import main
+from maxentgames.sessionio import (_checked_rows, _from_obj,
+                                   _plain_count_rows, format_float, to_obj)
 
-from oracles import flat
+from oracles import fitted, flat, tally_and_fit
+
+
+CSV_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "5", "04", "10", "-1",
+                              " 1", "+2", "x", ""])
+
+
+def count_calls(monkeypatch, function):
+    """Route every binding of a package function through a wrapper that
+    records each call's arguments; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, tuple(sorted(kwargs.items()))))
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "maxentgames" or name.startswith("maxentgames."):
+            for key, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 def tiny_record():
@@ -218,6 +250,56 @@ class TestSessionCsv:
         with pytest.raises(RangeError, match="0 or 1"):
             session_from_csv(text)
 
+    def test_written_rows_are_read_in_bulk(self):
+        record = run_session(get_treatment(1), rounds=200, seed=5)
+        body = session_to_csv(record).splitlines()[5:]
+        assert _plain_count_rows(body, 4) == list(record.rounds)
+
+    @given(data=st.data())
+    def test_bulk_rows_agree_with_line_by_line(self, data):
+        # written rows, some counts one past n, then maybe one line changed
+        # by hand: what the bulk reader accepts, the line-by-line reader
+        # must accept with the same rounds
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)),
+            min_size=1, max_size=8))
+        body = [f"{r},{i},{j}" for r, (i, j) in enumerate(cells, start=1)]
+        edit = data.draw(st.sampled_from(["none", "field", "line"]))
+        index = data.draw(st.integers(0, len(body) - 1))
+        if edit == "field":
+            fields = body[index].split(",")
+            fields[data.draw(st.integers(0, 2))] = data.draw(CSV_TOKENS)
+            body[index] = ",".join(fields)
+        elif edit == "line":
+            body[index] = data.draw(st.sampled_from(
+                ["", "# note", "1,2", "1,2,3,4", " " + body[index]]))
+        plain = _plain_count_rows(body, n)
+        lines = [f"# n={n}", "round,x1_count,y1_count", *body]
+        if plain is not None:
+            assert plain == _checked_rows(lines, 2, n, False)
+        elif edit == "none" and max(max(c) for c in cells) <= n:
+            pytest.fail("a written body was not read in bulk")
+
+    @pytest.mark.parametrize("body", [
+        ["2,0,0"], ["1,0,0", "3,0,0"], ["1,0,0", "1,0,0"], ["1,5,0"],
+        ["1,0,5"], ["1,0"], ["1,0,0,0"], ["1,0", "0,2,0,0"]])
+    def test_bulk_reader_declines_what_the_line_reader_rejects(self, body):
+        lines = ["# n=4", "round,x1_count,y1_count", *body]
+        with pytest.raises(ParseError):
+            _checked_rows(lines, 2, 4, False)
+        assert _plain_count_rows(body, 4) is None
+
+    def test_reading_checks_the_policy_label_once(self, tmp_path,
+                                                  monkeypatch):
+        record = run_session(get_treatment(1), rounds=50, seed=5)
+        path = tmp_path / "session.csv"
+        write_session_csv(record, path)
+        calls = count_calls(monkeypatch, parse_policy)
+        back = read_session_csv(path)
+        assert len(calls) == 1
+        assert back == record and hash(back) == hash(record)
+
     def test_digest_is_stable_and_input_sensitive(self):
         a = session_digest(tiny_record())
         assert a == session_digest(tiny_record())
@@ -275,7 +357,8 @@ class TestTreatmentConfig:
 class TestAnalyzeSession:
     def test_report_fields(self):
         record = run_session(get_treatment(1), rounds=200, seed=9)
-        report = analyze_session(record, source="mem://session", group_id=4)
+        report = analyze_session(record, *tally_and_fit(record),
+                                 source="mem://session", group_id=4)
         assert report.treatment_id == 1
         assert report.group_id == 4
         assert report.source == "mem://session"
@@ -289,7 +372,8 @@ class TestAnalyzeSession:
 
     def test_ect_sample_size_override(self):
         record = run_session(get_treatment(1), rounds=50, seed=9)
-        report = analyze_session(record, ect_sample_size=2400)
+        report = analyze_session(record, *tally_and_fit(record),
+                                 ect_sample_size=2400)
         assert report.entropy.sample_size == 2400
 
     def test_degenerate_boundary_session(self):
@@ -298,7 +382,7 @@ class TestAnalyzeSession:
         record = SessionRecord(treatment_id=0, seed=0, n=4,
                                rounds=((0, 0),) * 10,
                                policy_id="iid_mixed(p=0.0,q=0.0)")
-        report = analyze_session(record)
+        report = analyze_session(record, *tally_and_fit(record))
         assert report.entropy.s_t == 0.0
         assert report.deviation.d_te == 0.0
         assert report.deviation.z == 0.0
@@ -307,27 +391,28 @@ class TestAnalyzeSession:
 
     def test_json_round_trip_lossless(self):
         record = run_session(get_treatment(2), rounds=150, seed=3)
-        report = analyze_session(record, source="a.csv", group_id=2)
+        report = analyze_session(record, *tally_and_fit(record),
+                                 source="a.csv", group_id=2)
         assert report_from_json(report_to_json(report)) == report
 
     def test_json_round_trip_large_lattice(self):
         # sorted "i,j" keys are not row-major once n >= 10
         record = run_session(get_treatment(2), rounds=150, seed=3, n=10)
-        report = analyze_session(record)
+        report = analyze_session(record, *tally_and_fit(record))
         assert len(report.deviation.per_cell) == 121
         assert report_from_json(report_to_json(report)) == report
 
     def test_file_round_trip(self, tmp_path):
         record = run_session(get_treatment(2), rounds=80, seed=3)
-        report = analyze_session(record)
+        report = analyze_session(record, *tally_and_fit(record))
         path = tmp_path / "report.json"
         write_report(report, path)
         assert read_report(path) == report
 
     def test_json_bytes_deterministic(self):
         record = run_session(get_treatment(2), rounds=80, seed=3)
-        a = report_to_json(analyze_session(record))
-        b = report_to_json(analyze_session(record))
+        a = report_to_json(analyze_session(record, *tally_and_fit(record)))
+        b = report_to_json(analyze_session(record, *tally_and_fit(record)))
         assert a == b
 
     def test_report_json_rejects_garbage(self):
@@ -341,7 +426,7 @@ class TestEnsembleSummary:
     def test_round_trip(self):
         records = run_ensemble(get_treatment(1), groups=6, rounds=100,
                                base_seed=21)
-        reports = [analyze_session(r, group_id=g + 1)
+        reports = [analyze_session(r, *tally_and_fit(r), group_id=g + 1)
                    for g, r in enumerate(records)]
         summary = summarize_ensemble(reports)
         assert summary.sessions == 6
@@ -351,7 +436,8 @@ class TestEnsembleSummary:
     def test_aggregates_match_inputs(self):
         records = run_ensemble(get_treatment(1), groups=4, rounds=100,
                                base_seed=2)
-        reports = [analyze_session(r) for r in records]
+        reports = [analyze_session(r, *tally_and_fit(r))
+                   for r in records]
         summary = summarize_ensemble(reports)
         d_values = [r.deviation.d_te for r in reports]
         assert summary.d_te.mean == pytest.approx(
@@ -361,38 +447,39 @@ class TestEnsembleSummary:
 
 
 class TestLatticeSvg:
-    def observed(self):
-        return run_session(get_treatment(1), rounds=200,
-                           seed=12).distribution()
+    def fitted(self):
+        return tally_and_fit(run_session(get_treatment(1), rounds=200,
+                                         seed=12))
 
     def test_valid_xml(self):
-        markup = render_lattice_svg(self.observed(), title="game 1 <test>")
+        markup = render_lattice_svg(*self.fitted(),
+                                    title="game 1 <test>")
         root = ET.fromstring(markup)
         assert root.tag.endswith("svg")
 
     def test_state_marker_per_cell(self):
-        markup = render_lattice_svg(self.observed())
+        markup = render_lattice_svg(*self.fitted())
         assert markup.count('class="state"') == 25
 
     def test_single_mean_star(self):
-        markup = render_lattice_svg(self.observed())
+        markup = render_lattice_svg(*self.fitted())
         assert markup.count("<polygon") == 1
 
     def test_byte_deterministic(self):
-        assert render_lattice_svg(self.observed()) == \
-            render_lattice_svg(self.observed())
+        assert render_lattice_svg(*self.fitted()) == \
+            render_lattice_svg(*self.fitted())
 
     def test_no_residual_disks_when_exact(self):
         # observed exactly equals its own fitted prediction at a corner
         dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 10}))
-        markup = render_lattice_svg(dist)
+        markup = render_lattice_svg(dist, fitted(dist))
         assert "#c0392b" not in markup and "#2e6da4" not in markup
 
     def test_residual_radius_magnification(self):
         # point mass at center vs its balanced self-fit: surplus residual
         # 1 - 0.140625 saturates the five-fold area magnification
         dist = LatticeDistribution(n=4, counts=flat(4, {(2, 2): 100}))
-        markup = render_lattice_svg(dist)
+        markup = render_lattice_svg(dist, fitted(dist))
         assert 'r="42.00" fill="#c0392b"' in markup
         # deficit at (0,0): r = 42 * sqrt(5 / 256)
         expected = 42.0 * math.sqrt(5.0 / 256.0)
@@ -400,12 +487,88 @@ class TestLatticeSvg:
 
     def test_counts_labelled(self):
         dist = LatticeDistribution(n=4, counts=flat(4, {(1, 3): 7, (2, 2): 3}))
-        markup = render_lattice_svg(dist)
+        markup = render_lattice_svg(dist, fitted(dist))
         assert ">7</text>" in markup and ">3</text>" in markup
 
     def test_write_svg(self, tmp_path):
         path = tmp_path / "lattice.svg"
-        write_lattice_svg(self.observed(), path, title="t")
+        dist, prediction = self.fitted()
+        write_lattice_svg(dist, path, prediction, title="t")
         text = path.read_text(encoding="utf-8")
         assert text.startswith("<?xml")
         ET.fromstring(text)
+
+
+class TestScoreSession:
+    def test_fields_equal_analyze_session(self):
+        simulated = run_session(get_treatment(4), rounds=200, seed=31)
+        parsed = session_from_csv(session_to_csv(simulated))
+        assert parsed == simulated and hash(parsed) == hash(simulated)
+        scored = []
+        for record in (simulated, parsed):
+            dist = record.distribution()
+            prediction = fit_prediction(dist)
+            for options in ((0.95, 0.05, False, None),
+                            (0.9, 0.01, True, 2400)):
+                confidence, significance, base_corrected, m = options
+                scores = score_session(dist, prediction, *options)
+                report = analyze_session(
+                    record, dist, prediction, confidence=confidence,
+                    significance=significance, base_corrected=base_corrected,
+                    ect_sample_size=m)
+                assert scores == (report.entropy, report.chi_square,
+                                  report.deviation)
+                assert (report.mean_p, report.mean_q) == (
+                    prediction.mean.o_p, prediction.mean.o_q)
+                scored.append(scores)
+        assert scored[:2] == scored[2:]
+
+    def test_quantile_cache_misses_once_per_argument(self, monkeypatch):
+        records = (run_ensemble(get_treatment(1), groups=3, rounds=100,
+                                base_seed=4)
+                   + run_ensemble(get_treatment(2), groups=2, rounds=100,
+                                  base_seed=5, n=2))
+        chi_square_quantile.cache_clear()
+        student_t_quantile.cache_clear()
+        chi_calls = count_calls(monkeypatch, chi_square_quantile)
+        t_calls = count_calls(monkeypatch, student_t_quantile)
+        summarize_ensemble([analyze_session(r, *tally_and_fit(r))
+                            for r in records])
+        # ECT bound and chi-square criterion: one (k, F) per lattice size
+        assert {args for args, _ in chi_calls} == {(22, 0.95), (6, 0.95)}
+        assert len(chi_calls) == 10
+        for function, calls in ((chi_square_quantile, chi_calls),
+                                (student_t_quantile, t_calls)):
+            info = function.cache_info()
+            assert info.misses == len(set(calls))
+            assert info.hits == len(calls) - len(set(calls))
+
+
+class TestTallyAndFitOnce:
+    """Each command tallies and fits a session once and hands the same
+    pair to the report and the SVG."""
+
+    def counters(self, monkeypatch):
+        return {f.__name__: count_calls(monkeypatch, f)
+                for f in (tally, mean_observation, binomial_prediction)}
+
+    def test_analyze_svg(self, tmp_path, monkeypatch, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--treatment", "3", "--groups", "4",
+                     "--rounds", "60", "--seed", "8",
+                     "--out", str(sim)]) == 0
+        paths = sorted(str(p) for p in sim.glob("*.csv"))
+        counters = self.counters(monkeypatch)
+        assert main(["analyze", *paths, "--svg", str(tmp_path / "svg"),
+                     "--json", str(tmp_path / "report.json")]) == 0
+        assert {k: len(v) for k, v in counters.items()} == dict.fromkeys(
+            counters, 4)
+        assert len(list((tmp_path / "svg").glob("*.svg"))) == 4
+
+    def test_reproduce_flagged_svgs(self, tmp_path, monkeypatch, capsys):
+        counters = self.counters(monkeypatch)
+        out = tmp_path / "rep"
+        assert main(["reproduce", "--seed", "42", "--out", str(out)]) == 0
+        assert len(list((out / "svg").glob("*.svg"))) > 0
+        assert {k: len(v) for k, v in counters.items()} == dict.fromkeys(
+            counters, 108)

@@ -1,5 +1,6 @@
 """Special-function routines checked against scipy as an independent oracle."""
 
+import hashlib
 import math
 
 import pytest
@@ -88,14 +89,17 @@ class TestChiSquare:
         assert chi_square_cdf(5, 0.0) == 0.0
         assert chi_square_cdf(5, -3.0) == 0.0
 
-    @pytest.mark.parametrize("probability", [0.0, 1.0, -0.1, 1.5])
+    # the quantile is memoized: a repeated bad call must raise again
+    @pytest.mark.parametrize("probability", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_invalid_probability(self, probability):
-        with pytest.raises(InvalidProbability):
-            chi_square_quantile(22, probability)
+        for _ in range(2):
+            with pytest.raises(InvalidProbability):
+                chi_square_quantile(22, probability)
 
     def test_invalid_freedoms(self):
-        with pytest.raises(ValueError):
-            chi_square_quantile(0, 0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                chi_square_quantile(0, 0.5)
         with pytest.raises(ValueError):
             chi_square_cdf(0, 1.0)
 
@@ -146,7 +150,61 @@ class TestStudentT:
         assert student_t_quantile(2, 0.995) == pytest.approx(
             9.924843200918023, abs=1e-8)
 
-    @pytest.mark.parametrize("probability", [0.0, 1.0])
+    @pytest.mark.parametrize("probability", [0.0, 1.0, math.nan])
     def test_invalid_probability(self, probability):
-        with pytest.raises(InvalidProbability):
-            student_t_quantile(5, probability)
+        for _ in range(2):
+            with pytest.raises(InvalidProbability):
+                student_t_quantile(5, probability)
+
+    def test_invalid_freedoms(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                student_t_quantile(0, 0.975)
+
+
+# 25 freedoms from 1 to 200 x (5 chi-square + 6 Student-t quantiles, each
+# with the CDF at it) = 550 values
+TABLE_FREEDOMS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 20, 22, 25,
+                  30, 40, 50, 60, 80, 100, 150, 200)
+TABLE_SHA256 = ("522840c9faaffdc3e7b68b840dcd011c"
+                "c97a92f76e35d7dcfcad1f96a8d72eab")
+
+
+def quantile_table() -> list[float]:
+    values = []
+    for k in TABLE_FREEDOMS:
+        for p in (0.01, 0.05, 0.5, 0.95, 0.99):
+            x = chi_square_quantile(k, p)
+            values += [x, chi_square_cdf(k, x)]
+        for p in (0.005, 0.025, 0.1, 0.9, 0.975, 0.995):
+            t = student_t_quantile(k, p)
+            values += [t, student_t_cdf(k, t)]
+    return values
+
+
+class TestMemoizedQuantiles:
+    """The quantiles are memoized; the values must stay bit-identical to
+    the unmemoized bisection, whose table digest is pinned here."""
+
+    def digest(self, values):
+        return hashlib.sha256(
+            "\n".join(v.hex() for v in values).encode("ascii")).hexdigest()
+
+    def test_table_digest_cold_and_warm(self):
+        chi_square_quantile.cache_clear()
+        student_t_quantile.cache_clear()
+        cold = quantile_table()
+        assert len(cold) == 550
+        assert self.digest(cold) == TABLE_SHA256
+        # every quantile now comes from the cache
+        before = chi_square_quantile.cache_info().hits
+        assert self.digest(quantile_table()) == TABLE_SHA256
+        assert chi_square_quantile.cache_info().hits == before + 125
+
+    def test_errors_are_not_cached(self):
+        chi_square_quantile.cache_clear()
+        for _ in range(3):
+            with pytest.raises(InvalidProbability):
+                chi_square_quantile(22, 1.0)
+        info = chi_square_quantile.cache_info()
+        assert (info.hits, info.currsize) == (0, 0)
