@@ -115,15 +115,16 @@ def _session_line(name: str, report: AnalysisReport) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     reports = []
-    # each session is read, tallied and fitted once; --svg draws the same
-    # (tally, fit) pair the report scored
-    fits = []
+    # one read, tally and fit per session; --svg draws the last scored pair
+    # per output file, since inputs that share a stem share a file
+    svgs = {}
     for g, path in enumerate(args.sessions, start=1):
         record = read_session_csv(path)
         dist = record.distribution()
         prediction = fit_prediction(dist)
         if args.svg is not None:
-            fits.append((dist, prediction))
+            svgs[Path(path).stem + ".svg"] = (dist, prediction,
+                                               Path(path).name)
         reports.append(analyze_session(
             record, dist, prediction, source=str(path), group_id=g,
             confidence=args.ect_significance,
@@ -153,9 +154,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.svg is not None:
         svg_dir = Path(args.svg)
         svg_dir.mkdir(parents=True, exist_ok=True)
-        for path, (dist, prediction) in zip(args.sessions, fits):
-            write_lattice_svg(dist, svg_dir / (Path(path).stem + ".svg"),
-                              prediction, title=Path(path).name)
+        for name, (dist, prediction, title) in svgs.items():
+            write_lattice_svg(dist, svg_dir / name, prediction, title=title)
     if args.strict and any(r.chi_square.exceeds for r in reports):
         return 1
     return 0
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--json", default=None,
                      help="write combined report JSON here")
     ana.add_argument("--svg", default=None,
-                     help="write one lattice SVG per session here")
+                     help="write one lattice SVG per input file stem "
+                          "here (the last input with that stem)")
     ana.add_argument("--ect-significance", type=float, default=0.95,
                      help="ECT confidence level F (default: 0.95)")
     ana.add_argument("--chi-significance", type=float, default=0.05,

@@ -1,7 +1,8 @@
 """Exception hierarchy for the package.
 
-Everything raised on purpose derives from MaxentGamesError so callers can
-catch one type at the CLI boundary.
+Input-file errors and domain failures derive from MaxentGamesError; plain
+argument checks in `special`, `maxent.ect_bound`, `lattice`, `games`,
+`kernels` and `simulate` raise ValueError, so the CLI catches both.
 """
 
 

@@ -141,7 +141,7 @@ def parse_treatment_config(text: str) -> list[Treatment]:
 
 
 def read_treatment_config(path: str | Path) -> list[Treatment]:
-    return parse_treatment_config(Path(path).read_text(encoding="utf-8"))
+    return parse_treatment_config(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def treatment_catalog() -> list[Treatment]:

@@ -56,8 +56,7 @@ class LatticeDistribution:
     the kernels return; every per-cell quantity uses it.
     """
 
-    def __init__(self, n: int, counts: Sequence[int],
-                 total: int | None = None):
+    def __init__(self, n: int, counts: Sequence[int]):
         if n < 1:
             raise OutOfRange(f"population size must be positive, got {n}")
         counts = list(counts)
@@ -68,11 +67,7 @@ class LatticeDistribution:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"count {c!r} at {divmod(index, n + 1)} "
                                  "is not a non-negative integer")
-        observed = sum(counts)
-        if total is None:
-            total = observed
-        if observed != total:
-            raise ValueError(f"counts sum to {observed}, expected total {total}")
+        total = sum(counts)
         if total < 1:
             raise EmptySession("a distribution needs at least one observation")
         self.n = n

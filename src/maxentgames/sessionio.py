@@ -5,7 +5,8 @@ Formats are deliberately boring and fully deterministic:
 * session CSV: `# key=value` metadata lines, a `round,x1_count,y1_count`
   header, one row per round, LF line endings.  Round-trips losslessly.
   An extended per-agent schema (`round` plus 2n action-bit columns) is
-  accepted on read and collapsed to counts.
+  accepted on read and collapsed to counts.  A leading UTF-8 byte-order
+  mark is skipped on read, as in treatment configs.
 * analysis JSON: canonical rendering (sorted keys, 17-significant-digit
   floats), byte-stable across runs and platforms.
 * lattice SVG: hand-assembled markup, no drawing library, so identical
@@ -34,6 +35,7 @@ from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     one_sample_t_test, summarize)
 
 TOOL_VERSION = "0.1.0"
+ENSEMBLE_CONFIDENCE = 0.99  # CI level of summarize_ensemble
 
 # ---------------------------------------------------------------------------
 # canonical JSON
@@ -254,7 +256,7 @@ def _checked_record(**values: Any) -> SessionRecord:
 
 
 def read_session_csv(path: str | Path) -> SessionRecord:
-    return session_from_csv(Path(path).read_text(encoding="utf-8"))
+    return session_from_csv(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def session_digest(record: SessionRecord) -> str:
@@ -344,8 +346,7 @@ def analyze_session(record: SessionRecord, dist: LatticeDistribution,
                           input_digest=session_digest(record))
 
 
-def summarize_ensemble(reports: Sequence[AnalysisReport],
-                       confidence: float = 0.99) -> EnsembleSummary:
+def summarize_ensemble(reports: Sequence[AnalysisReport]) -> EnsembleSummary:
     """Aggregate several session reports the way a results table would:
     mean/SE/CI of D_te and Z plus t tests against zero."""
     d_values = [r.deviation.d_te for r in reports]
@@ -353,8 +354,8 @@ def summarize_ensemble(reports: Sequence[AnalysisReport],
     return EnsembleSummary(
         sessions=len(reports),
         chi_exceed_count=sum(1 for r in reports if r.chi_square.exceeds),
-        d_te=summarize(d_values, confidence),
-        z=summarize(z_values, confidence),
+        d_te=summarize(d_values, ENSEMBLE_CONFIDENCE),
+        z=summarize(z_values, ENSEMBLE_CONFIDENCE),
         d_te_test=one_sample_t_test(d_values, 0.0),
         z_test=one_sample_t_test(z_values, 0.0))
 

@@ -110,10 +110,6 @@ class TestDistribution:
         dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 2, (1, 1): 0}))
         assert dist.counts == flat(4, {(0, 0): 2})
 
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LatticeDistribution(n=4, counts=flat(4, {(0, 0): 2}), total=3)
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             LatticeDistribution(n=4, counts=flat(4, {(0, 0): -1}))

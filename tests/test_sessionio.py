@@ -300,6 +300,19 @@ class TestSessionCsv:
         assert len(calls) == 1
         assert back == record and hash(back) == hash(record)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        record = run_session(get_treatment(1), rounds=200, seed=5)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_session_csv(record, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        plain_back, back = read_session_csv(plain), read_session_csv(marked)
+        assert back == plain_back == record
+        plain_report = analyze_session(plain_back, *tally_and_fit(plain_back))
+        report = analyze_session(back, *tally_and_fit(back))
+        assert report_to_json(report) == report_to_json(plain_report)
+        assert report.input_digest == session_digest(record)
+        assert main(["analyze", str(marked)]) == 0
+
     def test_digest_is_stable_and_input_sensitive(self):
         a = session_digest(tiny_record())
         assert a == session_digest(tiny_record())
@@ -318,6 +331,17 @@ class TestTreatmentConfig:
         assert treatment.id == 5
         assert treatment.payoffs.a11 == 7 and treatment.payoffs.b22 == 1
         assert treatment.groups == 12 and treatment.rounds_per_group == 200
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = ("1 10 8 0 18 9 9 10 8 12 200\n"
+                "2 9 4 0 13 6 7 8 5 12 200\n")
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert (read_treatment_config(marked)
+                == read_treatment_config(plain)
+                == parse_treatment_config(text))
 
     def test_comments_and_blank_lines(self):
         text = "# catalog slice\n\n1 10 8 0 18 9 9 10 8 12 200  # game 1\n"
@@ -553,17 +577,30 @@ class TestTallyAndFitOnce:
                 for f in (tally, mean_observation, binomial_prediction)}
 
     def test_analyze_svg(self, tmp_path, monkeypatch, capsys):
-        sim = tmp_path / "sim"
-        assert main(["simulate", "--treatment", "3", "--groups", "4",
-                     "--rounds", "60", "--seed", "8",
-                     "--out", str(sim)]) == 0
-        paths = sorted(str(p) for p in sim.glob("*.csv"))
+        # two simulate trees: group_01 and group_02 appear in both, and an
+        # SVG file is drawn once, from the last input with its stem
+        paths = []
+        for seed, groups in ((8, 4), (9, 2)):
+            sim = tmp_path / f"sim_{seed}"
+            assert main(["simulate", "--treatment", "3", "--groups",
+                         str(groups), "--rounds", "60", "--seed", str(seed),
+                         "--out", str(sim)]) == 0
+            paths += sorted(sim.glob("*.csv"))
         counters = self.counters(monkeypatch)
-        assert main(["analyze", *paths, "--svg", str(tmp_path / "svg"),
+        drawn = count_calls(monkeypatch, write_lattice_svg)
+        svg = tmp_path / "svg"
+        assert main(["analyze", *map(str, paths), "--svg", str(svg),
                      "--json", str(tmp_path / "report.json")]) == 0
         assert {k: len(v) for k, v in counters.items()} == dict.fromkeys(
-            counters, 4)
-        assert len(list((tmp_path / "svg").glob("*.svg"))) == 4
+            counters, 6)
+        last = {p.stem: p for p in paths}
+        assert sorted(p.stem for p in svg.glob("*.svg")) == sorted(last)
+        assert len(drawn) == len(last) == 4
+        for stem, path in last.items():
+            alone = tmp_path / f"alone_{stem}"
+            assert main(["analyze", str(path), "--svg", str(alone)]) == 0
+            assert ((svg / f"{stem}.svg").read_bytes()
+                    == (alone / f"{stem}.svg").read_bytes())
 
     def test_reproduce_flagged_svgs(self, tmp_path, monkeypatch, capsys):
         counters = self.counters(monkeypatch)
