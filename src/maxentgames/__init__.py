@@ -21,12 +21,10 @@ from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      dual_maxent_solve, ect_bound, entropy, entropy_report,
                      lattice_freedoms)
 from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
-                        canonical_json, fit_prediction, read_report,
-                        read_session_csv, render_lattice_svg,
-                        report_from_json, report_to_json, score_session,
-                        session_digest, session_from_csv, session_to_csv,
-                        summarize_ensemble, write_lattice_svg, write_report,
-                        write_session_csv)
+                        canonical_json, fit_prediction, read_session_csv,
+                        render_lattice_svg, score_session, session_digest,
+                        session_from_csv, session_to_csv, summarize_ensemble,
+                        write_lattice_svg, write_session_csv)
 from .simulate import (DEFAULT_POPULATION, PolicySpec, SessionRecord,
                        logit_policy, mixed_policy, nash_policy, parse_policy,
                        run_counts, run_ensemble, run_session)
@@ -57,12 +55,10 @@ __all__ = [
     "logit_policy",
     "mean_observation", "mixed_nash", "mixed_policy", "nash_policy",
     "one_sample_t_test", "parse_policy", "parse_treatment_config",
-    "read_report", "read_session_csv",
-    "read_treatment_config", "render_lattice_svg", "report_from_json",
-    "report_to_json", "residual_grid", "run_counts", "run_ensemble",
+    "read_session_csv", "read_treatment_config", "render_lattice_svg",
+    "residual_grid", "run_counts", "run_ensemble",
     "run_session", "score_session", "session_digest", "session_from_csv",
     "session_to_csv",
     "student_t_quantile", "summarize", "summarize_ensemble", "tally",
-    "treatment_catalog", "write_lattice_svg", "write_report",
-    "write_session_csv",
+    "treatment_catalog", "write_lattice_svg", "write_session_csv",
 ]

@@ -1,9 +1,13 @@
-"""Exception hierarchy for the package.
+"""Exception hierarchy for the package, and how input files report errors.
 
 Input-file errors and domain failures derive from MaxentGamesError; plain
 argument checks in `special`, `maxent.ect_bound`, `lattice`, `games`,
 `kernels` and `simulate` raise ValueError, so the CLI catches both.
 """
+
+from codecs import BOM_UTF8
+from pathlib import Path
+from typing import Any, Callable
 
 
 class MaxentGamesError(Exception):
@@ -72,3 +76,19 @@ class RangeError(ParseError):
 
 class DuplicateId(ParseError):
     """A treatment id appears more than once in a config file."""
+
+
+def read_input(path: str | Path, parse: Callable[[str], Any]) -> Any:
+    """`parse` applied to an input file's UTF-8 text (a leading byte-order
+    mark skipped).  Its ParseError comes out as the same type with the file
+    name in front; a byte that is not UTF-8, as a ParseError with its line."""
+    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (DegenerateGame, DuplicateId, NoInteriorEquilibrium,
-                     ParseError, RangeError, SchemaError)
+                     ParseError, RangeError, SchemaError, read_input)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def parse_treatment_config(text: str) -> list[Treatment]:
 
 
 def read_treatment_config(path: str | Path) -> list[Treatment]:
-    return parse_treatment_config(Path(path).read_text(encoding="utf-8-sig"))
+    return read_input(path, parse_treatment_config)
 
 
 def treatment_catalog() -> list[Treatment]:

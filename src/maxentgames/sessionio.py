@@ -8,7 +8,7 @@ Formats are deliberately boring and fully deterministic:
   accepted on read and collapsed to counts.  A leading UTF-8 byte-order
   mark is skipped on read, as in treatment configs.
 * analysis JSON: canonical rendering (sorted keys, 17-significant-digit
-  floats), byte-stable across runs and platforms.
+  floats) for any JSON parser, byte-stable across runs and platforms.
 * lattice SVG: hand-assembled markup, no drawing library, so identical
   input yields identical bytes.
 
@@ -23,13 +23,13 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence, get_origin, get_type_hints
+from typing import Any, Sequence
 
-from .errors import ParseError, RangeError, SchemaError
+from .errors import ParseError, RangeError, SchemaError, read_input
 from .lattice import LatticeDistribution, lattice_cells, mean_observation
 from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      entropy_report)
-from .simulate import SessionRecord, mixed_policy, parse_policy
+from .simulate import SessionRecord, mixed_policy
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
                     one_sample_t_test, summarize)
@@ -41,7 +41,8 @@ ENSEMBLE_CONFIDENCE = 0.99  # CI level of summarize_ensemble
 # canonical JSON
 
 def format_float(value: float) -> str:
-    """Shortest-of-17-significant-digits rendering; round-trips exactly."""
+    """`%.17g`, with `.0` kept on whole numbers: reads back exactly, but is
+    not repr's shortest form (0.1 gives "0.10000000000000001")."""
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
@@ -230,33 +231,22 @@ def session_from_csv(text: str) -> SessionRecord:
     seed = meta_int("seed")
     policy_id, policy_line = meta.get(
         "policy", (mixed_policy(0.5, 0.5).label(), 0))
-    try:
-        parse_policy(policy_id)  # validate early, with a clear error
-    except ParseError as exc:
-        raise ParseError(f"line {policy_line}: {exc}") from None
 
     rounds = None if extended else _plain_count_rows(lines[body_start:], n)
     if rounds is None:
         rounds = _checked_rows(lines, body_start, n, extended)
     if not rounds:
         raise SchemaError("session file has no data rows")
-    return _checked_record(treatment_id=treatment_id, seed=seed, n=n,
-                           rounds=tuple(rounds), policy_id=policy_id)
-
-
-def _checked_record(**values: Any) -> SessionRecord:
-    """A SessionRecord built from values session_from_csv has already
-    checked, each error with its line number: n >= 1, at least one round,
-    every round on the lattice, a readable policy label.  It skips
-    SessionRecord.__post_init__, which would make the same checks again."""
-    record = object.__new__(SessionRecord)
-    for f in fields(SessionRecord):
-        object.__setattr__(record, f.name, values[f.name])
-    return record
+    # each other check the record makes was made above, with a line number
+    try:
+        return SessionRecord(treatment_id=treatment_id, seed=seed, n=n,
+                             rounds=tuple(rounds), policy_id=policy_id)
+    except ParseError as exc:
+        raise ParseError(f"line {policy_line}: {exc}") from None
 
 
 def read_session_csv(path: str | Path) -> SessionRecord:
-    return session_from_csv(Path(path).read_text(encoding="utf-8-sig"))
+    return read_input(path, session_from_csv)
 
 
 def session_digest(record: SessionRecord) -> str:
@@ -363,11 +353,9 @@ def summarize_ensemble(reports: Sequence[AnalysisReport]) -> EnsembleSummary:
 # ---------------------------------------------------------------------------
 # report JSON
 
-# One encoder/decoder pair driven by the dataclass fields.  A list field is
-# a row-major per-cell vector; JSON writes it as an object keyed "i,j".
-
 def to_obj(value: Any) -> Any:
-    """JSON-ready form of a report dataclass or a per-cell vector."""
+    """JSON-ready form of a report dataclass, with each row-major per-cell
+    vector (a list field) written as an object keyed "i,j"."""
     if is_dataclass(value):
         return {f.name: to_obj(getattr(value, f.name))
                 for f in fields(value)}
@@ -375,49 +363,6 @@ def to_obj(value: Any) -> Any:
         n = math.isqrt(len(value)) - 1
         return {f"{i},{j}": v for (i, j), v in zip(lattice_cells(n), value)}
     return value
-
-
-def _from_obj(cls: type, obj: dict[str, Any]) -> Any:
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        value, hint = obj[f.name], hints[f.name]
-        if is_dataclass(hint):
-            value = _from_obj(hint, value)
-        elif get_origin(hint) is list:
-            n = math.isqrt(len(value)) - 1
-            # look each key up rather than trust key order: sorted "i,j"
-            # text keys stop being row-major once n >= 10
-            index = {f"{i},{j}": k for k, (i, j) in enumerate(lattice_cells(n))}
-            vector = [0.0] * len(index)
-            for key, v in value.items():
-                vector[index[key]] = v
-            value = vector
-        values[f.name] = value
-    return cls(**values)
-
-
-def report_to_json(report: AnalysisReport) -> str:
-    return canonical_json(to_obj(report)) + "\n"
-
-
-def report_from_json(text: str) -> AnalysisReport:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid report JSON: {exc}") from None
-    try:
-        return _from_obj(AnalysisReport, obj)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"report JSON missing field: {exc}") from None
-
-
-def write_report(report: AnalysisReport, path: str | Path) -> None:
-    write_text(path, report_to_json(report))
-
-
-def read_report(path: str | Path) -> AnalysisReport:
-    return report_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,9 @@ class SessionRecord:
     """One group's run, pinned to its seed and generating policy.
 
     `rounds` is the ordered per-round sequence of social states; this is
-    the unit of serialization, and distributions are derived views.
+    the unit of serialization.  The record tallies them once, on
+    construction: the tally is the check that every round lies on the
+    lattice, and `distribution()` returns it.
     """
 
     treatment_id: int
@@ -155,10 +157,8 @@ class SessionRecord:
             raise OutOfRange(f"population size must be >= 1, got {self.n}")
         if not self.rounds:
             raise EmptySession("session has no rounds")
-        for (i, j) in self.rounds:
-            if not (0 <= i <= self.n and 0 <= j <= self.n):
-                raise OutOfRange(
-                    f"state ({i}, {j}) outside lattice for n={self.n}")
+        # not a field, so equality, hash and fields() ignore it
+        object.__setattr__(self, "_tally", tally(self.rounds, self.n))
         parse_policy(self.policy_id)  # a label the CSV reader can read back
 
     @property
@@ -169,7 +169,7 @@ class SessionRecord:
         return parse_policy(self.policy_id)
 
     def distribution(self) -> LatticeDistribution:
-        return tally(self.rounds, self.n)
+        return self._tally
 
 
 def _matching_code(matching: str) -> int:

@@ -113,7 +113,7 @@ class TestSimulate:
         rc = run_cli("simulate", "--treatment", "1",
                      "--treatments", str(config), "--out", str(tmp_path / "x"))
         assert rc == 2
-        assert "line 2" in capsys.readouterr().err
+        assert f"{config}: line 2" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -190,6 +190,20 @@ class TestAnalyze:
         path.write_text("round,x1_count,y1_count\n1,0,0\n", encoding="utf-8")
         rc = run_cli("analyze", str(path))
         assert rc == 2
+
+    def test_bad_row_names_its_file(self, tmp_path, capsys):
+        out = simulate_into(tmp_path)
+        paths = [tmp_path / f"{name}.csv" for name in "abc"]
+        for path, group in zip(paths, sorted(out.glob("group_*.csv"))):
+            path.write_bytes(group.read_bytes())
+        lines = paths[1].read_text(encoding="utf-8").splitlines(True)
+        assert lines[7].startswith("3,")  # line 8 holds round 3
+        lines[7] = "3,5,0\n"
+        paths[1].write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("analyze", *map(str, paths)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {paths[1]}: line 8: counts (5, 0) beyond n=4" in err
 
     def test_no_sessions_is_usage_error(self):
         assert run_cli("analyze") == 2

@@ -134,7 +134,8 @@ class TestSessionRecord:
                           policy_id="iid_mixed(p=0.5,q=0.5)")
 
     def test_rejects_out_of_range_state(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange,
+                           match=r"state \(5, 0\) outside lattice for n=4"):
             SessionRecord(treatment_id=1, seed=0, n=4, rounds=((5, 0),),
                           policy_id="iid_mixed(p=0.5,q=0.5)")
 
