@@ -81,13 +81,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                            rounds=args.rounds, base_seed=args.seed,
                            n=args.population, matching=args.matching)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for g, record in enumerate(records, start=1):
         name = _group_name(g)
-        write_session_csv(record, out / name)
         entries.append({"file": name, "group": g, "seed": record.seed,
-                        "digest": session_digest(record)})
+                        "digest": write_session_csv(record, out / name)})
     manifest = {"version": TOOL_VERSION, "treatment": treatment.id,
                 "policy": policy.label(), "population": args.population,
                 "matching": args.matching, "rounds": len(records[0].rounds),
@@ -120,14 +118,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     svgs = {}
     for g, path in enumerate(args.sessions, start=1):
         record = read_session_csv(path)
-        dist = record.distribution()
-        prediction = fit_prediction(dist)
+        prediction = fit_prediction(record.distribution())
         if args.svg is not None:
-            svgs[Path(path).stem + ".svg"] = (dist, prediction,
-                                               Path(path).name)
+            svgs[Path(path).stem + ".svg"] = (record.distribution(),
+                                               prediction, Path(path).name)
         reports.append(analyze_session(
-            record, dist, prediction, source=str(path), group_id=g,
-            confidence=args.ect_significance,
+            record, prediction, session_digest(record), source=str(path),
+            group_id=g, confidence=args.ect_significance,
             significance=args.chi_significance,
             base_corrected=args.base_corrected,
             ect_sample_size=args.rounds_per_group))
@@ -152,10 +149,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                "ensemble": None if ensemble is None else to_obj(ensemble)}
         write_text(args.json, canonical_json(obj) + "\n")
     if args.svg is not None:
-        svg_dir = Path(args.svg)
-        svg_dir.mkdir(parents=True, exist_ok=True)
         for name, (dist, prediction, title) in svgs.items():
-            write_lattice_svg(dist, svg_dir / name, prediction, title=title)
+            write_lattice_svg(dist, Path(args.svg) / name, prediction,
+                              title=title)
     if args.strict and any(r.chi_square.exceeds for r in reports):
         return 1
     return 0
@@ -214,7 +210,7 @@ def _groups_row(report: AnalysisReport, seed: int) -> str:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    (out / "sessions").mkdir(parents=True, exist_ok=True)
+    # present even when no session is flagged, so the tree has one shape
     (out / "svg").mkdir(parents=True, exist_ok=True)
 
     catalog = treatment_catalog()
@@ -233,14 +229,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         eq = mixed_nash(treatment.payoffs)
         records = run_ensemble(treatment, base_seed=t_seed)
         t_dir = out / "sessions" / f"treatment_{treatment.id:02d}"
-        t_dir.mkdir(parents=True, exist_ok=True)
         reports = []
         for g, record in enumerate(records, start=1):
-            write_session_csv(record, t_dir / _group_name(g))
-            dist = record.distribution()
-            prediction = fit_prediction(dist)
+            digest = write_session_csv(record, t_dir / _group_name(g))
+            prediction = fit_prediction(record.distribution())
             report = analyze_session(
-                record, dist, prediction,
+                record, prediction, digest,
                 source=f"treatment_{treatment.id:02d}/{_group_name(g)}",
                 group_id=g)
             reports.append(report)
@@ -248,7 +242,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             if report.chi_square.exceeds:
                 name = f"treatment_{treatment.id:02d}_group_{g:02d}.svg"
                 write_lattice_svg(
-                    dist, out / "svg" / name, prediction,
+                    record.distribution(), out / "svg" / name, prediction,
                     title=f"treatment {treatment.id} group {g} "
                           f"chi2={report.chi_square.statistic:.1f}")
         all_reports.extend(reports)

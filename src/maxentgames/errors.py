@@ -81,12 +81,13 @@ class DuplicateId(ParseError):
 def read_input(path: str | Path, parse: Callable[[str], Any]) -> Any:
     """`parse` applied to an input file's UTF-8 text (a leading byte-order
     mark skipped).  Its ParseError comes out as the same type with the file
-    name in front; a byte that is not UTF-8, as a ParseError with its line."""
+    name in front; a byte that is not UTF-8, as a ParseError with its line,
+    counted as `str.splitlines` counts lines (so a lone CR ends one too)."""
     data = Path(path).read_bytes().removeprefix(BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
     try:
         return parse(text)

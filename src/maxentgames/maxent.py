@@ -205,12 +205,9 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
                 theta, res, var, err = trial, trial_res, trial_var, trial_err
                 break
             damping *= 0.5
-    else:
-        if err > _DUAL_TOLERANCE:
-            raise NoConvergence(
-                f"dual solver residual {err:.3e} after {max_iterations} iterations")
     if err > _DUAL_TOLERANCE:
-        raise NoConvergence(f"dual solver stalled at residual {err:.3e}")
+        raise NoConvergence(
+            f"dual solver residual {err:.3e} after {max_iterations} iterations")
 
     weights = [math.comb(n, i) * math.comb(n, j)
                * math.exp(theta[0] * i + theta[1] * j)

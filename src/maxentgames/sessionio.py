@@ -81,8 +81,9 @@ def canonical_json(obj: Any) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write an output file: UTF-8 with LF line endings on every platform,
-    so equal text gives equal bytes."""
+    """Write an output file, and its directory if missing: UTF-8 with LF
+    line endings on every platform, so equal text gives equal bytes."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -105,8 +106,15 @@ def session_to_csv(record: SessionRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_session_csv(record: SessionRecord, path: str | Path) -> None:
-    write_text(path, session_to_csv(record))
+def _csv_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def write_session_csv(record: SessionRecord, path: str | Path) -> str:
+    """Write the record's canonical CSV; returns its `session_digest`."""
+    text = session_to_csv(record)
+    write_text(path, text)
+    return _csv_digest(text)
 
 
 def _parse_int(text: str, what: str, line_no: int) -> int:
@@ -252,7 +260,7 @@ def read_session_csv(path: str | Path) -> SessionRecord:
 def session_digest(record: SessionRecord) -> str:
     """sha256 of the canonical CSV serialization; ties every report back to
     exact input bytes."""
-    return hashlib.sha256(session_to_csv(record).encode("utf-8")).hexdigest()
+    return _csv_digest(session_to_csv(record))
 
 
 # ---------------------------------------------------------------------------
@@ -313,27 +321,27 @@ def score_session(dist: LatticeDistribution, prediction: MaxentPrediction,
     return ent, chi, dev
 
 
-def analyze_session(record: SessionRecord, dist: LatticeDistribution,
-                    prediction: MaxentPrediction, source: str = "<memory>",
+def analyze_session(record: SessionRecord, prediction: MaxentPrediction,
+                    input_digest: str, source: str = "<memory>",
                     group_id: int = 1, confidence: float = 0.95,
                     significance: float = 0.05,
                     base_corrected: bool = False,
                     ect_sample_size: int | None = None) -> AnalysisReport:
     """The full report for one session: `score_session` on the record's
-    tally `dist` and its fit `prediction`, which the caller makes once
-    (`record.distribution()`, `fit_prediction`) so it can draw the same
-    pair, plus where the session came from: its treatment, group, source
-    name, the tool version and the sha256 of its canonical CSV.
-    """
-    ent, chi, dev = score_session(dist, prediction, confidence, significance,
-                                  base_corrected, ect_sample_size)
+    tally and its fit `prediction`, which the caller makes once so it can
+    draw the same pair, plus where the session came from: its treatment,
+    group, source name, the tool version and `input_digest`, the sha256 of
+    its canonical CSV (from `write_session_csv` or `session_digest`)."""
+    ent, chi, dev = score_session(record.distribution(), prediction,
+                                  confidence, significance, base_corrected,
+                                  ect_sample_size)
     return AnalysisReport(treatment_id=record.treatment_id,
                           group_id=group_id, source=source,
                           mean_p=prediction.mean.o_p,
                           mean_q=prediction.mean.o_q,
                           entropy=ent, chi_square=chi, deviation=dev,
                           version=TOOL_VERSION,
-                          input_digest=session_digest(record))
+                          input_digest=input_digest)
 
 
 def summarize_ensemble(reports: Sequence[AnalysisReport]) -> EnsembleSummary:

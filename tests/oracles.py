@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from maxentgames import binomial_prediction, mean_observation
+from maxentgames import binomial_prediction, mean_observation, session_digest
 
 
 def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
@@ -33,11 +33,10 @@ def fitted(dist):
     return binomial_prediction(mean_observation(dist), dist.n)
 
 
-def tally_and_fit(record):
-    """A session record's tally and its self-fit, the pair the CLI makes
-    once per session and passes to `analyze_session` and the SVG."""
-    dist = record.distribution()
-    return dist, fitted(dist)
+def fit_and_digest(record):
+    """A session record's self-fit and canonical-CSV digest, the two values
+    the CLI passes to `analyze_session` after the record itself."""
+    return fitted(record.distribution()), session_digest(record)
 
 
 def microstate_entropy(densities: Sequence[float], n: int) -> float:

@@ -39,7 +39,7 @@ from maxentgames.cli import main
 from maxentgames.kernels import splitmix64_sequence
 from maxentgames.sessionio import canonical_json, to_obj
 
-from oracles import fitted, tally_and_fit
+from oracles import fit_and_digest, fitted
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -147,7 +147,7 @@ def test_criterion_07_ensemble_deviation_scale():
     for treatment, t_seed in zip(catalog,
                                  splitmix64_sequence(42, len(catalog))):
         for record in run_ensemble(treatment, base_seed=t_seed):
-            reports.append(analyze_session(record, *tally_and_fit(record)))
+            reports.append(analyze_session(record, *fit_and_digest(record)))
     total = summarize_ensemble(reports)
     ok = 0.0 < total.d_te.mean < 0.02 and total.sessions == 108
     _verdict(7, "pooled mean D_te over the 108-group layout in (0, 0.02)",
@@ -164,7 +164,7 @@ def test_criterion_08_detectors_catch_concentrated_play():
     treatment = Treatment(id=90, payoffs=payoffs, groups=50,
                           rounds_per_group=200)
     records = run_ensemble(treatment, policy=logit_policy(10.0), base_seed=7)
-    reports = [analyze_session(r, *tally_and_fit(r)) for r in records]
+    reports = [analyze_session(r, *fit_and_digest(r)) for r in records]
     summary = summarize_ensemble(reports)
     exceed_ok = summary.chi_exceed_count >= 25
     z_ok = summary.z_test.p_value < 0.01
@@ -219,7 +219,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path, capsys):
     assert main(["analyze", *map(str, paths),
                  "--json", str(report_path)]) == 0
     records = [read_session_csv(p) for p in paths]
-    reports = [analyze_session(r, *tally_and_fit(r), source=str(p),
+    reports = [analyze_session(r, *fit_and_digest(r), source=str(p),
                                group_id=g)
                for g, (p, r) in enumerate(zip(paths, records), start=1)]
     expected = canonical_json(

@@ -137,7 +137,7 @@ class TestAnalyze:
 
     def test_json_report(self, tmp_path):
         out = simulate_into(tmp_path)
-        report_path = tmp_path / "report.json"
+        report_path = tmp_path / "new" / "report.json"  # made on write
         rc = run_cli("analyze", str(out / "group_01.csv"),
                      str(out / "group_02.csv"), "--json", str(report_path))
         assert rc == 0
@@ -239,7 +239,7 @@ class TestPredict:
         assert gap <= 1e-8
 
     def test_out_json(self, tmp_path):
-        path = tmp_path / "prediction.json"
+        path = tmp_path / "new" / "prediction.json"  # made on write
         rc = run_cli("predict", "0.5", "0.5", "--out", str(path))
         assert rc == 0
         obj = json.loads(path.read_text())

@@ -1,5 +1,6 @@
 """Serialization: session CSV, treatment config, report JSON, and SVG."""
 
+import hashlib
 import json
 import math
 import sys
@@ -46,8 +47,12 @@ from maxentgames.cli import main
 from maxentgames.sessionio import (_checked_rows, _plain_count_rows,
                                    format_float, to_obj)
 
-from oracles import fitted, flat, tally_and_fit
+from oracles import fit_and_digest, fitted, flat
 
+
+# a bad byte is reported on the line str.splitlines puts it on
+LINE_ENDINGS = pytest.mark.parametrize(
+    "ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 
 CSV_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "5", "04", "10", "-1",
                               " 1", "+2", "x", ""])
@@ -330,12 +335,13 @@ class TestSessionCsv:
         assert back.distribution() == record.distribution()
         assert len(calls) == 1
 
-    def test_non_utf8_byte_names_its_file_and_line(self, tmp_path):
+    @LINE_ENDINGS
+    def test_non_utf8_byte_names_its_file_and_line(self, tmp_path, ending):
         path = tmp_path / "session.csv"
         write_session_csv(run_session(get_treatment(1), rounds=5, seed=5),
                           path)
-        data = path.read_bytes()
-        row = data.index(b"\n2,") + 1  # line 7
+        data = path.read_bytes().replace(b"\n", ending)
+        row = data.index(ending + b"2,") + len(ending)  # line 7
         path.write_bytes(data[:row + 2] + b"\xff" + data[row + 3:])
         with pytest.raises(ParseError) as info:
             read_session_csv(path)
@@ -349,8 +355,8 @@ class TestSessionCsv:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         plain_back, back = read_session_csv(plain), read_session_csv(marked)
         assert back == plain_back == record
-        plain_report = analyze_session(plain_back, *tally_and_fit(plain_back))
-        report = analyze_session(back, *tally_and_fit(back))
+        plain_report = analyze_session(plain_back, *fit_and_digest(plain_back))
+        report = analyze_session(back, *fit_and_digest(back))
         assert report_json(report) == report_json(plain_report)
         assert report.input_digest == session_digest(record)
         assert main(["analyze", str(marked)]) == 0
@@ -385,11 +391,12 @@ class TestTreatmentConfig:
                 == read_treatment_config(plain)
                 == parse_treatment_config(text))
 
-    def test_non_utf8_byte_names_its_file_and_line(self, tmp_path):
+    @LINE_ENDINGS
+    def test_non_utf8_byte_names_its_file_and_line(self, tmp_path, ending):
         # the byte-order mark does not shift the line count
         path = tmp_path / "config.txt"
-        path.write_bytes(b"\xef\xbb\xbf1 10 8 0 18 9 9 10 8 12 200\n"
-                         b"\xff 9 4 0 13 6 7 8 5 12 200\n")
+        path.write_bytes(b"\xef\xbb\xbf1 10 8 0 18 9 9 10 8 12 200" + ending
+                         + b"\xff 9 4 0 13 6 7 8 5 12 200" + ending)
         with pytest.raises(ParseError) as info:
             read_treatment_config(path)
         assert type(info.value) is ParseError
@@ -433,7 +440,7 @@ class TestTreatmentConfig:
 class TestAnalyzeSession:
     def test_report_fields(self):
         record = run_session(get_treatment(1), rounds=200, seed=9)
-        report = analyze_session(record, *tally_and_fit(record),
+        report = analyze_session(record, *fit_and_digest(record),
                                  source="mem://session", group_id=4)
         assert report.treatment_id == 1
         assert report.group_id == 4
@@ -448,7 +455,7 @@ class TestAnalyzeSession:
 
     def test_ect_sample_size_override(self):
         record = run_session(get_treatment(1), rounds=50, seed=9)
-        report = analyze_session(record, *tally_and_fit(record),
+        report = analyze_session(record, *fit_and_digest(record),
                                  ect_sample_size=2400)
         assert report.entropy.sample_size == 2400
 
@@ -458,7 +465,7 @@ class TestAnalyzeSession:
         record = SessionRecord(treatment_id=0, seed=0, n=4,
                                rounds=((0, 0),) * 10,
                                policy_id="iid_mixed(p=0.0,q=0.0)")
-        report = analyze_session(record, *tally_and_fit(record))
+        report = analyze_session(record, *fit_and_digest(record))
         assert report.entropy.s_t == 0.0
         assert report.deviation.d_te == 0.0
         assert report.deviation.z == 0.0
@@ -467,21 +474,21 @@ class TestAnalyzeSession:
 
     def test_json_round_trip_lossless(self):
         record = run_session(get_treatment(2), rounds=150, seed=3)
-        report = analyze_session(record, *tally_and_fit(record),
+        report = analyze_session(record, *fit_and_digest(record),
                                  source="a.csv", group_id=2)
         assert_json_holds(report, json.loads(report_json(report)))
 
     def test_json_round_trip_large_lattice(self):
         # sorted "i,j" keys are not row-major once n >= 10
         record = run_session(get_treatment(2), rounds=150, seed=3, n=10)
-        report = analyze_session(record, *tally_and_fit(record))
+        report = analyze_session(record, *fit_and_digest(record))
         assert len(report.deviation.per_cell) == 121
         assert_json_holds(report, json.loads(report_json(report)))
 
     def test_json_bytes_deterministic(self):
         record = run_session(get_treatment(2), rounds=80, seed=3)
-        a = report_json(analyze_session(record, *tally_and_fit(record)))
-        b = report_json(analyze_session(record, *tally_and_fit(record)))
+        a = report_json(analyze_session(record, *fit_and_digest(record)))
+        b = report_json(analyze_session(record, *fit_and_digest(record)))
         assert a == b
 
 
@@ -489,7 +496,7 @@ class TestEnsembleSummary:
     def test_round_trip(self):
         records = run_ensemble(get_treatment(1), groups=6, rounds=100,
                                base_seed=21)
-        reports = [analyze_session(r, *tally_and_fit(r), group_id=g + 1)
+        reports = [analyze_session(r, *fit_and_digest(r), group_id=g + 1)
                    for g, r in enumerate(records)]
         summary = summarize_ensemble(reports)
         assert summary.sessions == 6
@@ -499,7 +506,7 @@ class TestEnsembleSummary:
     def test_aggregates_match_inputs(self):
         records = run_ensemble(get_treatment(1), groups=4, rounds=100,
                                base_seed=2)
-        reports = [analyze_session(r, *tally_and_fit(r))
+        reports = [analyze_session(r, *fit_and_digest(r))
                    for r in records]
         summary = summarize_ensemble(reports)
         d_values = [r.deviation.d_te for r in reports]
@@ -511,8 +518,8 @@ class TestEnsembleSummary:
 
 class TestLatticeSvg:
     def fitted(self):
-        return tally_and_fit(run_session(get_treatment(1), rounds=200,
-                                         seed=12))
+        record = run_session(get_treatment(1), rounds=200, seed=12)
+        return record.distribution(), fitted(record.distribution())
 
     def test_valid_xml(self):
         markup = render_lattice_svg(*self.fitted(),
@@ -576,7 +583,8 @@ class TestScoreSession:
                 confidence, significance, base_corrected, m = options
                 scores = score_session(dist, prediction, *options)
                 report = analyze_session(
-                    record, dist, prediction, confidence=confidence,
+                    record, prediction, session_digest(record),
+                    confidence=confidence,
                     significance=significance, base_corrected=base_corrected,
                     ect_sample_size=m)
                 assert scores == (report.entropy, report.chi_square,
@@ -595,7 +603,7 @@ class TestScoreSession:
         student_t_quantile.cache_clear()
         chi_calls = count_calls(monkeypatch, chi_square_quantile)
         t_calls = count_calls(monkeypatch, student_t_quantile)
-        summarize_ensemble([analyze_session(r, *tally_and_fit(r))
+        summarize_ensemble([analyze_session(r, *fit_and_digest(r))
                             for r in records])
         # ECT bound and chi-square criterion: one (k, F) per lattice size
         assert {args for args, _ in chi_calls} == {(22, 0.95), (6, 0.95)}
@@ -608,12 +616,30 @@ class TestScoreSession:
 
 
 class TestTallyAndFitOnce:
-    """Each command tallies and fits a session once and hands the same
-    pair to the report and the SVG."""
+    """Each command tallies, fits and serializes a session once, and hands
+    the same pair to the report and the SVG."""
 
     def counters(self, monkeypatch):
         return {f.__name__: count_calls(monkeypatch, f)
-                for f in (tally, mean_observation, binomial_prediction)}
+                for f in (tally, mean_observation, binomial_prediction,
+                          session_to_csv)}
+
+    def test_simulate_manifest_digests(self, tmp_path, monkeypatch, capsys):
+        written = count_calls(monkeypatch, session_to_csv)
+        digested = count_calls(monkeypatch, session_digest)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--treatment", "1", "--groups", "3",
+                     "--rounds", "40", "--seed", "6", "--out", str(out)]) == 0
+        assert len(written) == 3 and digested == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["sessions"]:
+            path = out / entry["file"]
+            data = path.read_bytes()
+            assert entry["digest"] == hashlib.sha256(data).hexdigest()
+            again = tmp_path / "again.csv"
+            assert write_session_csv(read_session_csv(path),
+                                     again) == entry["digest"]
+            assert again.read_bytes() == data
 
     def test_analyze_svg(self, tmp_path, monkeypatch, capsys):
         # two simulate trees: group_01 and group_02 appear in both, and an
@@ -644,7 +670,9 @@ class TestTallyAndFitOnce:
     def test_reproduce_flagged_svgs(self, tmp_path, monkeypatch, capsys):
         counters = self.counters(monkeypatch)
         out = tmp_path / "rep"
+        digested = count_calls(monkeypatch, session_digest)
         assert main(["reproduce", "--seed", "42", "--out", str(out)]) == 0
+        assert digested == []
         assert len(list((out / "svg").glob("*.svg"))) > 0
         assert {k: len(v) for k, v in counters.items()} == dict.fromkeys(
             counters, 108)
