@@ -1,9 +1,10 @@
 """Golden output bytes of the paper-facing commands.
 
 Pins the sha256 of what `reproduce --seed 42`, `analyze` over that tree
-(with --json and --svg) and `predict --solver dual` write, so a refactor
-cannot silently move a number, a per-cell residual or an SVG pixel.  The
-digests are the same on the pure-Python and the compiled kernel.
+(with --json and --svg), `predict --solver dual` and a history-dependent
+logit `simulate` under each matching scheme write, so a refactor cannot
+silently move a number, a per-cell residual or an SVG pixel.  The digests
+are the same on the pure-Python and the compiled kernel.
 
 A tree digest is the sha256 of "".join(f"{relpath} {sha256}\\n") over the
 files of a directory, sorted by relative POSIX path.
@@ -31,6 +32,30 @@ PREDICT_JSON = ("caf29ecff91c62a16e0f4577114a6a19"
                 "bd7e6587b11d90558fb8ce5c251bf82f")
 PREDICT_STDOUT = ("97f18c6144049be85c2158b8b76720f4"
                   "52b6060f9d1d17eea673b56b3edcfca2")
+# simulate --treatment 1 --policy logit --intensity 0.5 --population 8
+#          --rounds 300 --groups 3 --seed 42 --matching <scheme>
+SIMULATE_LOGIT = {
+    "uniform": {
+        "manifest.json": ("4e5b2aa90e36e2328bbf905d3d8f0933"
+                          "1d3e556d7da303673a9c56c1bb0d375e"),
+        "group_01.csv": ("a0ac33399815b5278f1a23980aa10b82"
+                         "6216ecdbbda5e4c4fb753a0c0f1536a7"),
+        "group_02.csv": ("239bab44110dd1a271db0cdbe6322cbe"
+                         "6f8139dbecb967e7e07b2a001bf09c77"),
+        "group_03.csv": ("f595f08ecfcf4a60789b8a87d1ead9fc"
+                         "7d3223e00f2e099ca9891f26b89436a8"),
+    },
+    "round_robin": {
+        "manifest.json": ("a6517b9659609331292b903f121e3e67"
+                          "61c9d6e2ec89b13886545feaaea7bcd4"),
+        "group_01.csv": ("9832186ef4f2ddebd9c401ecadc6fce9"
+                         "dc69bba542aae8536c69debbe3eb9ff9"),
+        "group_02.csv": ("e4269cf4f49e428350fed216eb76a5cd"
+                         "0145992144c2244351f6290661419363"),
+        "group_03.csv": ("b841c50290fc0024921c6709b7b7eab2"
+                         "897c7bf895f6425e53cb7d6b49c61681"),
+    },
+}
 
 
 def sha256(data: bytes) -> str:
@@ -107,3 +132,15 @@ class TestPredict:
         stdout = capsys.readouterr().out
         assert sha256((tmp_path / "p.json").read_bytes()) == PREDICT_JSON
         assert sha256(stdout.encode("utf-8")) == PREDICT_STDOUT
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("matching", sorted(SIMULATE_LOGIT))
+    def test_logit_sessions(self, tmp_path, matching):
+        out = tmp_path / matching
+        assert main(["simulate", "--treatment", "1", "--policy", "logit",
+                     "--intensity", "0.5", "--population", "8",
+                     "--rounds", "300", "--groups", "3", "--seed", "42",
+                     "--matching", matching, "--out", str(out)]) == 0
+        assert {rel: sha256((out / rel).read_bytes())
+                for rel in tree_files(out)} == SIMULATE_LOGIT[matching]
