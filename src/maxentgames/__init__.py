@@ -24,17 +24,17 @@ from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
                         canonical_json, fit_prediction, read_session_csv,
                         render_lattice_svg, score_session, session_digest,
                         session_from_csv, session_to_csv, summarize_ensemble,
-                        write_lattice_svg, write_session_csv)
+                        write_lattice_svg, write_session_csv, TOOL_VERSION)
 from .simulate import (DEFAULT_POPULATION, PolicySpec, SessionRecord,
                        logit_policy, mixed_policy, nash_policy, parse_policy,
-                       run_counts, run_ensemble, run_session)
+                       run_ensemble, run_session)
 from .special import chi_square_quantile, student_t_quantile
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
                     entropy_deviation, one_sample_t_test, residual_grid,
                     summarize, z_statistic)
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "AnalysisReport", "BACKEND", "BoundaryMean", "ChiSquareReport",
@@ -56,7 +56,7 @@ __all__ = [
     "mean_observation", "mixed_nash", "mixed_policy", "nash_policy",
     "one_sample_t_test", "parse_policy", "parse_treatment_config",
     "read_session_csv", "read_treatment_config", "render_lattice_svg",
-    "residual_grid", "run_counts", "run_ensemble",
+    "residual_grid", "run_ensemble",
     "run_session", "score_session", "session_digest", "session_from_csv",
     "session_to_csv",
     "student_t_quantile", "summarize", "summarize_ensemble", "tally",

@@ -26,8 +26,8 @@ from .sessionio import (AnalysisReport, analyze_session, canonical_json,
                         session_digest, summarize_ensemble, to_obj,
                         write_lattice_svg, write_session_csv, write_text,
                         TOOL_VERSION)
-from .simulate import (PolicySpec, logit_policy, mixed_policy, nash_policy,
-                       run_ensemble)
+from .simulate import (DEFAULT_POPULATION, PolicySpec, logit_policy,
+                       mixed_policy, nash_policy, run_ensemble)
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of groups (default: treatment value)")
     sim.add_argument("--seed", type=int, default=0,
                      help="base seed; group seeds derive from it")
-    sim.add_argument("--population", type=int, default=4,
-                     help="agents per side (default: 4)")
+    sim.add_argument("--population", type=int, default=DEFAULT_POPULATION,
+                     help="agents per side (default: %(default)s)")
     sim.add_argument("--matching", choices=("uniform", "round_robin"),
                      default="uniform")
     sim.add_argument("--out", required=True, help="output directory")
@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "a mean")
     pre.add_argument("o_p", type=float, help="mean X action-1 density")
     pre.add_argument("o_q", type=float, help="mean Y action-1 density")
-    pre.add_argument("--population", type=int, default=4)
+    pre.add_argument("--population", type=int, default=DEFAULT_POPULATION,
+                     help="agents per side (default: %(default)s)")
     pre.add_argument("--solver", choices=("closed", "dual"),
                      default="closed",
                      help="dual: cross-check the iterative solver")

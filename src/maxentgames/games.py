@@ -37,16 +37,6 @@ class PayoffMatrix:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"payoff {name} must be finite")
 
-    def x_payoffs(self, q: float) -> tuple[float, float]:
-        """Expected payoff of X1 and X2 against a Y population mixing q on Y1."""
-        return (self.a11 * q + self.a12 * (1.0 - q),
-                self.a21 * q + self.a22 * (1.0 - q))
-
-    def y_payoffs(self, p: float) -> tuple[float, float]:
-        """Expected payoff of Y1 and Y2 against an X population mixing p on X1."""
-        return (self.b11 * p + self.b21 * (1.0 - p),
-                self.b12 * p + self.b22 * (1.0 - p))
-
 
 @dataclass(frozen=True)
 class EquilibriumPoint:

@@ -13,6 +13,17 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptySession, OutOfRange
 
+# The largest n whose largest degeneracy C(n, n//2)^2 is a finite double;
+# the fit and entropy convert every degeneracy to float.
+MAX_POPULATION = 516
+
+
+def check_population(n: int) -> None:
+    """The one rule on population size for tallies, fits and entropies."""
+    if not 1 <= n <= MAX_POPULATION:
+        limit = "positive" if n < 1 else f"at most {MAX_POPULATION}"
+        raise OutOfRange(f"population size must be {limit}, got {n}")
+
 
 @dataclass(frozen=True)
 class MeanObservation:
@@ -57,8 +68,7 @@ class LatticeDistribution:
     """
 
     def __init__(self, n: int, counts: Sequence[int]):
-        if n < 1:
-            raise OutOfRange(f"population size must be positive, got {n}")
+        check_population(n)
         counts = list(counts)
         if len(counts) != (n + 1) ** 2:
             raise OutOfRange(f"{len(counts)} counts do not cover the "
@@ -78,9 +88,6 @@ class LatticeDistribution:
         if not (0 <= i <= self.n and 0 <= j <= self.n):
             raise OutOfRange(f"({i}, {j}) outside lattice for n={self.n}")
         return self.counts[i * (self.n + 1) + j]
-
-    def density(self, i: int, j: int) -> float:
-        return self.count(i, j) / self.total
 
     def densities(self) -> list[float]:
         """Row-major density vector."""
@@ -103,6 +110,7 @@ def tally(rounds: Iterable[tuple[int, int]], n: int) -> LatticeDistribution:
     Every state must lie on the lattice for n; an empty sequence is an
     error rather than an empty distribution.
     """
+    check_population(n)
     size = n + 1
     counts = [0] * (size * size)
     for (i, j) in rounds:

@@ -19,8 +19,8 @@ from typing import Sequence
 
 from .errors import (BoundaryMean, InvalidConfidence, NoConvergence,
                      NotNormalized, OutOfRange)
-from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
-                      lattice_cells)
+from .lattice import (LatticeDistribution, MeanObservation,
+                      check_population, degeneracy, lattice_cells)
 from .special import chi_square_quantile
 
 _NORMALIZATION_TOL = 1e-9
@@ -58,8 +58,7 @@ def entropy(densities: Sequence[float], n: int) -> float:
     point mass on a non-degenerate corner, one for the uniform distribution
     over microstates.
     """
-    if n < 1:
-        raise OutOfRange(f"population size must be positive, got {n}")
+    check_population(n)
     if len(densities) != (n + 1) ** 2:
         raise OutOfRange(f"{len(densities)} densities do not cover the "
                          f"{(n + 1) ** 2} cells of the lattice for n={n}")
@@ -90,6 +89,7 @@ def binomial_prediction(mean: MeanObservation, n: int) -> MaxentPrediction:
     observation.  Boundary means are allowed and concentrate all mass on the
     corresponding lattice edge (0^0 = 1).
     """
+    check_population(n)
     p, q = mean.o_p, mean.o_q
     densities = [math.comb(n, i) * math.comb(n, j)
                  * p ** i * (1.0 - p) ** (n - i)

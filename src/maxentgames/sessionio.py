@@ -25,8 +25,9 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import ParseError, RangeError, SchemaError, read_input
-from .lattice import LatticeDistribution, lattice_cells, mean_observation
+from .errors import OutOfRange, ParseError, RangeError, SchemaError, read_input
+from .lattice import (LatticeDistribution, check_population, lattice_cells,
+                      mean_observation)
 from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      entropy_report)
 from .simulate import SessionRecord, mixed_policy
@@ -218,9 +219,10 @@ def session_from_csv(text: str) -> SessionRecord:
         if "n" not in meta:
             raise SchemaError("missing '# n=' metadata line")
         n = meta_int("n")
-        if n < 1:
-            raise RangeError(f"line {meta['n'][1]}: population size must "
-                             f"be >= 1, got {n}")
+        try:
+            check_population(n)
+        except OutOfRange as exc:
+            raise RangeError(f"line {meta['n'][1]}: {exc}") from None
         columns = [c.strip() for c in stripped.split(",")]
         if columns == _CSV_HEADER.split(","):
             extended = False

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import (EmptySession, InvalidProbability, InvalidRounds,
-                     OutOfRange, ParseError)
+                     ParseError)
 from .games import PayoffMatrix, Treatment, mixed_nash
 from .kernels import (MATCHING_ROUND_ROBIN, MATCHING_UNIFORM, MODE_IID,
                       MODE_LOGIT, simulate_session, splitmix64_sequence)
@@ -142,8 +142,8 @@ class SessionRecord:
 
     `rounds` is the ordered per-round sequence of social states; this is
     the unit of serialization.  The record tallies them once, on
-    construction: the tally is the check that every round lies on the
-    lattice, and `distribution()` returns it.
+    construction: the tally is the check on n, on the round count and on
+    every round's place on the lattice, and `distribution()` returns it.
     """
 
     treatment_id: int
@@ -153,32 +153,12 @@ class SessionRecord:
     policy_id: str
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise OutOfRange(f"population size must be >= 1, got {self.n}")
-        if not self.rounds:
-            raise EmptySession("session has no rounds")
         # not a field, so equality, hash and fields() ignore it
         object.__setattr__(self, "_tally", tally(self.rounds, self.n))
         parse_policy(self.policy_id)  # a label the CSV reader can read back
 
-    @property
-    def total(self) -> int:
-        return len(self.rounds)
-
-    def policy(self) -> PolicySpec:
-        return parse_policy(self.policy_id)
-
     def distribution(self) -> LatticeDistribution:
         return self._tally
-
-
-def _matching_code(matching: str) -> int:
-    try:
-        return _MATCHING_SCHEMES[matching]
-    except KeyError:
-        raise ValueError(
-            f"matching must be one of {sorted(_MATCHING_SCHEMES)}, "
-            f"got {matching!r}") from None
 
 
 def run_session(treatment: Treatment, policy: PolicySpec | None = None,
@@ -198,8 +178,11 @@ def run_session(treatment: Treatment, policy: PolicySpec | None = None,
     if rounds < 1:
         raise InvalidRounds(f"rounds must be >= 1, got {rounds}")
     mode, probs = kernel_parameters(policy, treatment.payoffs)
+    if matching not in _MATCHING_SCHEMES:
+        raise ValueError("matching must be one of "
+                         f"{sorted(_MATCHING_SCHEMES)}, got {matching!r}")
     _, trajectory = simulate_session(n, rounds, mode, probs, seed,
-                                     _matching_code(matching), True)
+                                     _MATCHING_SCHEMES[matching], True)
     return SessionRecord(treatment_id=treatment.id, seed=seed, n=n,
                          rounds=tuple(trajectory), policy_id=policy.label())
 
@@ -221,14 +204,3 @@ def run_ensemble(treatment: Treatment, policy: PolicySpec | None = None,
     return [run_session(treatment, policy, rounds, group_seed, n, matching)
             for group_seed in splitmix64_sequence(base_seed, groups)]
 
-
-def run_counts(payoffs: PayoffMatrix, policy: PolicySpec, seed: int,
-               rounds: int, n: int = DEFAULT_POPULATION,
-               matching: str = "uniform") -> LatticeDistribution:
-    """Fast path: one group's tally without keeping the trajectory."""
-    if rounds < 1:
-        raise InvalidRounds(f"rounds must be >= 1, got {rounds}")
-    mode, probs = kernel_parameters(policy, payoffs)
-    counts, _ = simulate_session(n, rounds, mode, probs, seed,
-                                 _matching_code(matching), False)
-    return LatticeDistribution(n, counts)

@@ -30,8 +30,8 @@ from maxentgames import (
     mixed_policy,
     nash_policy,
     read_session_csv,
-    run_counts,
     run_ensemble,
+    run_session,
     summarize_ensemble,
     treatment_catalog,
 )
@@ -39,7 +39,7 @@ from maxentgames.cli import main
 from maxentgames.kernels import splitmix64_sequence
 from maxentgames.sessionio import canonical_json, to_obj
 
-from oracles import fit_and_digest, fitted
+from oracles import _payoff_gap_x, _payoff_gap_y, fit_and_digest, fitted
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -76,7 +76,8 @@ def test_criterion_03_entropy_bound_structural():
         treatment = catalog[rng.randrange(len(catalog))]
         policy = mixed_policy(rng.random(), rng.random())
         rounds = rng.randint(50, 2400)
-        dist = run_counts(treatment.payoffs, policy, seed=k, rounds=rounds)
+        dist = run_session(treatment, policy, rounds=rounds,
+                           seed=k).distribution()
         report = entropy_report(dist, fitted(dist))
         worst = max(worst, report.s_e - report.s_t)
     ok = worst <= 1e-12
@@ -111,7 +112,8 @@ def test_criterion_05_equilibrium_play_meets_concentration_bound():
     for k, seed in enumerate(seeds):
         treatment = catalog[k % len(catalog)]
         policy = nash_policy(treatment.payoffs)
-        dist = run_counts(treatment.payoffs, policy, seed=seed, rounds=2400)
+        dist = run_session(treatment, policy, rounds=2400,
+                           seed=seed).distribution()
         report = entropy_report(dist, fitted(dist))
         if report.s_t - report.s_e <= bound:
             hits += 1
@@ -125,12 +127,13 @@ def test_criterion_06_chi_square_calibration():
     # sampling straight from the predicted law must trip the 5% criterion
     # rarely, but not never: exceedance within [0.01, 0.15]
     prediction = binomial_prediction(MeanObservation(0.5, 0.5), 4)
-    payoffs = get_treatment(1).payoffs
+    treatment = get_treatment(1)
     policy = mixed_policy(0.5, 0.5)
     seeds = splitmix64_sequence(6, 200)
     exceed = 0
     for seed in seeds:
-        dist = run_counts(payoffs, policy, seed=seed, rounds=2400)
+        dist = run_session(treatment, policy, rounds=2400,
+                           seed=seed).distribution()
         if chi_square_gof(dist, prediction).exceeds:
             exceed += 1
     rate = exceed / len(seeds)
@@ -180,9 +183,8 @@ def test_criterion_09_equilibrium_solver_residuals():
     for treatment in treatment_catalog():
         payoffs = treatment.payoffs
         eq = mixed_nash(payoffs)
-        x1, x2 = payoffs.x_payoffs(eq.q_star)
-        y1, y2 = payoffs.y_payoffs(eq.p_star)
-        worst = max(worst, abs(x1 - x2), abs(y1 - y2))
+        worst = max(worst, abs(_payoff_gap_x(payoffs, eq.q_star)),
+                    abs(_payoff_gap_y(payoffs, eq.p_star)))
     eq1 = mixed_nash(get_treatment(1).payoffs)
     game1_gap = max(abs(eq1.p_star - 1 / 11), abs(eq1.q_star - 10 / 11))
     ok = worst <= 1e-12 and game1_gap <= 1e-12

@@ -96,7 +96,7 @@ class TestSimulate:
         assert rc == 0
         record = read_session_csv(out / "group_01.csv")
         assert record.treatment_id == 41
-        assert record.total == 30
+        assert len(record.rounds) == 30
 
     def test_treatment_missing_from_config(self, tmp_path, capsys):
         config = tmp_path / "custom.txt"
@@ -205,6 +205,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"error: {paths[1]}: line 8: counts (5, 0) beyond n=4" in err
 
+    def test_population_beyond_limit_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("# n=517\nround,x1_count,y1_count\n1,0,0\n",
+                        encoding="utf-8")
+        assert run_cli("analyze", str(path)) == 2
+        assert "line 1: population size" in capsys.readouterr().err
+
     def test_no_sessions_is_usage_error(self):
         assert run_cli("analyze") == 2
 
@@ -257,6 +264,13 @@ class TestPredict:
                        "--population", population) == 2
         err = capsys.readouterr().err
         assert "error: population size must be positive" in err
+
+    def test_population_limit(self, capsys):
+        # 516 is the largest n whose degeneracies are all finite doubles
+        assert run_cli("predict", "0.5", "0.5", "--population", "516") == 0
+        capsys.readouterr()
+        assert run_cli("predict", "0.5", "0.5", "--population", "517") == 2
+        assert "error: population size" in capsys.readouterr().err
 
 
 class TestUsage:

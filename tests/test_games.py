@@ -13,7 +13,8 @@ from maxentgames.errors import DegenerateGame, NoInteriorEquilibrium
 from maxentgames.games import (PayoffMatrix, Treatment, get_treatment,
                                mixed_nash, treatment_catalog)
 
-from oracles import exact_nash_fraction, grid_nash
+from oracles import (_payoff_gap_x, _payoff_gap_y, exact_nash_fraction,
+                     grid_nash)
 
 # interior equilibria of the 12 built-in games, all at elevenths; games
 # 7-12 are the non-constant-sum twins of 1-6 with identical equilibria
@@ -31,13 +32,6 @@ CATALOG_EQUILIBRIA = {
     11: (Fraction(4, 11), Fraction(8, 11)),
     12: (Fraction(5, 11), Fraction(7, 11)),
 }
-
-
-def indifference_residuals(payoffs: PayoffMatrix, p: float,
-                           q: float) -> tuple[float, float]:
-    x1, x2 = payoffs.x_payoffs(q)
-    y1, y2 = payoffs.y_payoffs(p)
-    return x1 - x2, y1 - y2
 
 
 class TestCatalog:
@@ -103,9 +97,8 @@ class TestMixedNash:
     def test_indifference_residuals(self, tid):
         payoffs = get_treatment(tid).payoffs
         eq = mixed_nash(payoffs)
-        rx, ry = indifference_residuals(payoffs, eq.p_star, eq.q_star)
-        assert abs(rx) <= 1e-12
-        assert abs(ry) <= 1e-12
+        assert abs(_payoff_gap_x(payoffs, eq.q_star)) <= 1e-12
+        assert abs(_payoff_gap_y(payoffs, eq.p_star)) <= 1e-12
 
     @pytest.mark.parametrize("tid", range(1, 13))
     def test_against_grid_oracle(self, tid):
@@ -190,12 +183,6 @@ class TestPayoffMatrix:
         with pytest.raises(ValueError):
             PayoffMatrix(a11=0, a12=0, a21=0, a22=math.inf,
                          b11=0, b12=0, b21=0, b22=0)
-
-    def test_expected_payoffs(self):
-        m = get_treatment(1).payoffs
-        # against q = 1, X1 pays a11 and X2 pays a21
-        assert m.x_payoffs(1.0) == (10, 9)
-        assert m.y_payoffs(0.0) == (9, 8)
 
 
 class TestTreatment:

@@ -98,7 +98,7 @@ class TestDistribution:
         assert dist.total == 4
         assert dist.count(0, 0) == 3
         assert dist.count(1, 1) == 0
-        assert dist.density(2, 2) == 0.25
+        assert dist.count(2, 2) / dist.total == 0.25
 
     def test_densities_cover_full_grid(self):
         dist = LatticeDistribution(n=4, counts=flat(4, {(1, 1): 5}))

@@ -190,7 +190,7 @@ class TestSessionCsv:
         write_session_csv(record, path)
         back = read_session_csv(path)
         assert back == record
-        assert back.total == 200
+        assert back.distribution().total == 200
 
     def test_missing_population_metadata(self):
         text = "round,x1_count,y1_count\n1,0,0\n"
@@ -232,7 +232,7 @@ class TestSessionCsv:
         record = session_from_csv(text)
         assert record.treatment_id == 0
         assert record.seed == 0
-        assert record.policy() == mixed_policy(0.5, 0.5)
+        assert parse_policy(record.policy_id) == mixed_policy(0.5, 0.5)
 
     def test_invalid_policy_metadata(self):
         text = ("# n=4\n# policy=nonsense()\n"
@@ -246,7 +246,7 @@ class TestSessionCsv:
         with pytest.raises(ParseError, match="line 2"):
             session_from_csv(text)
 
-    @pytest.mark.parametrize("value", ["x", "0"])
+    @pytest.mark.parametrize("value", ["x", "0", "517"])
     def test_bad_population_names_its_line(self, value):
         text = f"# n={value}\n# seed=1\nround,x1_count,y1_count\n1,0,0\n"
         with pytest.raises(ParseError, match="line 1"):

@@ -21,7 +21,6 @@ from maxentgames import (
     mixed_policy,
     nash_policy,
     parse_policy,
-    run_counts,
     run_ensemble,
     run_session,
 )
@@ -123,10 +122,10 @@ class TestSessionRecord:
         record = SessionRecord(treatment_id=1, seed=5, n=4,
                                rounds=((1, 2), (1, 2), (0, 4)),
                                policy_id="iid_mixed(p=0.5,q=0.5)")
-        assert record.total == 3
+        assert len(record.rounds) == 3
         dist = record.distribution()
         assert dist.count(1, 2) == 2 and dist.count(0, 4) == 1
-        assert record.policy() == mixed_policy(0.5, 0.5)
+        assert parse_policy(record.policy_id) == mixed_policy(0.5, 0.5)
 
     def test_rejects_empty(self):
         with pytest.raises(EmptySession):
@@ -155,11 +154,11 @@ class TestRunSession:
     def test_defaults_from_treatment(self):
         treatment = get_treatment(1)
         record = run_session(treatment, seed=3)
-        assert record.total == treatment.rounds_per_group == 200
+        assert len(record.rounds) == treatment.rounds_per_group == 200
         assert record.treatment_id == 1
         eq = mixed_nash(treatment.payoffs)
-        assert record.policy() == PolicySpec(kind="iid_mixed",
-                                             p=eq.p_star, q=eq.q_star)
+        assert parse_policy(record.policy_id) == PolicySpec(
+            kind="iid_mixed", p=eq.p_star, q=eq.q_star)
 
     def test_deterministic(self):
         treatment = get_treatment(4)
@@ -210,20 +209,6 @@ class TestRunEnsemble:
             run_ensemble(get_treatment(1), groups=0, rounds=5)
 
 
-class TestRunCounts:
-    def test_matches_run_session_distribution(self):
-        treatment = get_treatment(6)
-        policy = nash_policy(treatment.payoffs)
-        fast = run_counts(treatment.payoffs, policy, seed=13, rounds=300)
-        full = run_session(treatment, policy=policy, seed=13, rounds=300)
-        assert fast == full.distribution()
-
-    def test_rejects_nonpositive_rounds(self):
-        policy = mixed_policy(0.5, 0.5)
-        with pytest.raises(InvalidRounds):
-            run_counts(get_treatment(1).payoffs, policy, seed=0, rounds=0)
-
-
 class TestSamplingDistribution:
     def test_nash_session_mean_near_equilibrium(self):
         # 2400 rounds of iid play at game 1's equilibrium: each side's mean
@@ -232,8 +217,8 @@ class TestSamplingDistribution:
         eq = mixed_nash(treatment.payoffs)
         record = run_session(treatment, rounds=2400, seed=42)
         dist = record.distribution()
-        mean_p = sum(i for i, _ in record.rounds) / (4 * record.total)
-        mean_q = sum(j for _, j in record.rounds) / (4 * record.total)
+        mean_p = sum(i for i, _ in record.rounds) / (4 * len(record.rounds))
+        mean_q = sum(j for _, j in record.rounds) / (4 * len(record.rounds))
         se_p = math.sqrt(eq.p_star * (1 - eq.p_star) / 9600)
         se_q = math.sqrt(eq.q_star * (1 - eq.q_star) / 9600)
         assert abs(mean_p - eq.p_star) <= 3 * se_p
@@ -244,8 +229,8 @@ class TestSamplingDistribution:
         # 100k rounds at (0.3, 0.6): empirical cell frequencies converge on
         # the product-binomial law (sup-norm well under 0.02 at this size)
         policy = mixed_policy(0.3, 0.6)
-        dist = run_counts(get_treatment(1).payoffs, policy, seed=7,
-                          rounds=100_000)
+        dist = run_session(get_treatment(1), policy, rounds=100_000,
+                           seed=7).distribution()
         prediction = binomial_prediction(MeanObservation(0.3, 0.6), 4)
         gap = max(abs(d - e) for d, e in zip(dist.densities(),
                                              prediction.densities))
