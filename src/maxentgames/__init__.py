@@ -22,7 +22,7 @@ from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      lattice_freedoms)
 from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
                         canonical_json, fit_prediction, read_session_csv,
-                        render_lattice_svg, score_session, session_digest,
+                        render_lattice_svg, session_digest,
                         session_from_csv, session_to_csv, summarize_ensemble,
                         write_lattice_svg, write_session_csv, TOOL_VERSION)
 from .simulate import (DEFAULT_POPULATION, PolicySpec, SessionRecord,
@@ -46,7 +46,7 @@ __all__ = [
     "MeanObservation", "NoConvergence",
     "NoInteriorEquilibrium", "NotNormalized", "OutOfRange", "ParseError",
     "PayoffMatrix", "PolicySpec", "RangeError", "SchemaError",
-    "SessionRecord", "SummaryStats", "TTestReport",
+    "SessionRecord", "SummaryStats", "TOOL_VERSION", "TTestReport",
     "Treatment", "analyze_session", "binomial_prediction", "canonical_json",
     "chi_square_gof", "chi_square_quantile", "degeneracy",
     "deviation_report", "dual_maxent_solve",
@@ -57,8 +57,8 @@ __all__ = [
     "one_sample_t_test", "parse_policy", "parse_treatment_config",
     "read_session_csv", "read_treatment_config", "render_lattice_svg",
     "residual_grid", "run_ensemble",
-    "run_session", "score_session", "session_digest", "session_from_csv",
-    "session_to_csv",
+    "run_session", "session_digest", "session_from_csv", "session_to_csv",
     "student_t_quantile", "summarize", "summarize_ensemble", "tally",
     "treatment_catalog", "write_lattice_svg", "write_session_csv",
+    "z_statistic",
 ]

@@ -169,9 +169,6 @@ def _print_prediction(prediction: MaxentPrediction) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if not (0.0 <= args.o_p <= 1.0 and 0.0 <= args.o_q <= 1.0):
-        raise MaxentGamesError(
-            f"mean must lie in [0,1]^2, got ({args.o_p}, {args.o_q})")
     mean = MeanObservation(args.o_p, args.o_q)
     prediction = binomial_prediction(mean, args.population)
     _print_prediction(prediction)

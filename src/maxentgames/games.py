@@ -114,17 +114,14 @@ def parse_treatment_config(text: str) -> list[Treatment]:
         if tid in seen:
             raise DuplicateId(f"line {line_no}: duplicate treatment id {tid}")
         seen.add(tid)
-        if groups < 1 or rounds < 1:
-            raise RangeError(
-                f"line {line_no}: groups and rounds must be >= 1")
         a11, b11, a12, b12, a21, b21, a22, b22 = cells
         try:
-            payoffs = PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
-                                   b11=b11, b12=b12, b21=b21, b22=b22)
-        except ValueError as exc:  # a non-finite payoff
+            treatments.append(Treatment(
+                id=tid, groups=groups, rounds_per_group=rounds,
+                payoffs=PayoffMatrix(a11=a11, a12=a12, a21=a21, a22=a22,
+                                     b11=b11, b12=b12, b21=b21, b22=b22)))
+        except ValueError as exc:  # a non-finite payoff or a bad layout
             raise RangeError(f"line {line_no}: {exc}") from None
-        treatments.append(Treatment(id=tid, payoffs=payoffs, groups=groups,
-                                    rounds_per_group=rounds))
     if not treatments:
         raise SchemaError("treatment config has no entries")
     return treatments

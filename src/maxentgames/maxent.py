@@ -91,8 +91,7 @@ def binomial_prediction(mean: MeanObservation, n: int) -> MaxentPrediction:
     """
     check_population(n)
     p, q = mean.o_p, mean.o_q
-    densities = [math.comb(n, i) * math.comb(n, j)
-                 * p ** i * (1.0 - p) ** (n - i)
+    densities = [degeneracy(n, i, j) * p ** i * (1.0 - p) ** (n - i)
                  * q ** j * (1.0 - q) ** (n - j)
                  for (i, j) in lattice_cells(n)]
     s_t = entropy(densities, n)
@@ -170,7 +169,9 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
     answer logit(mean), so the solver reaches it on its own.
 
     Exists as an oracle for binomial_prediction; agreement to sup-norm 1e-8
-    is part of the acceptance gate.
+    is part of the acceptance gate.  Raises NoConvergence where the dual
+    cannot be evaluated: a residual that does not reach tolerance (or is
+    NaN), or weights that are not finite doubles.
     """
     p, q = mean.o_p, mean.o_q
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
@@ -205,12 +206,15 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
                 theta, res, var, err = trial, trial_res, trial_var, trial_err
                 break
             damping *= 0.5
-    if err > _DUAL_TOLERANCE:
+    if not err <= _DUAL_TOLERANCE:  # a NaN residual fails here too
         raise NoConvergence(
             f"dual solver residual {err:.3e} after {max_iterations} iterations")
-
-    weights = [math.comb(n, i) * math.comb(n, j)
-               * math.exp(theta[0] * i + theta[1] * j)
-               for (i, j) in lattice_cells(n)]
-    z = math.fsum(weights)
+    try:
+        weights = [degeneracy(n, i, j) * math.exp(theta[0] * i + theta[1] * j)
+                   for (i, j) in lattice_cells(n)]
+        z = math.fsum(weights)
+    except OverflowError:
+        z = math.inf
+    if not z < math.inf:
+        raise NoConvergence(f"dual solver weights not finite at theta {theta}")
     return [w / z for w in weights]

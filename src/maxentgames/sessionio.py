@@ -260,8 +260,9 @@ def read_session_csv(path: str | Path) -> SessionRecord:
 
 
 def session_digest(record: SessionRecord) -> str:
-    """sha256 of the canonical CSV serialization; ties every report back to
-    exact input bytes."""
+    """sha256 of the record's canonical CSV serialization, not of the bytes
+    it was read from: inputs that parse to the same record (CRLF line
+    endings, a byte-order mark, the per-agent schema) share one digest."""
     return _csv_digest(session_to_csv(record))
 
 
@@ -303,40 +304,28 @@ def fit_prediction(dist: LatticeDistribution) -> MaxentPrediction:
     return binomial_prediction(mean_observation(dist), dist.n)
 
 
-def score_session(dist: LatticeDistribution, prediction: MaxentPrediction,
-                  confidence: float, significance: float,
-                  base_corrected: bool, ect_sample_size: int | None
-                  ) -> tuple[EntropyReport, ChiSquareReport, DeviationReport]:
-    """Score one tally against a prediction, normally its own fit
-    (`fit_prediction`): the entropy comparison with its concentration
-    bound, the chi-square test and the deviation statistics.
-
-    ect_sample_size overrides the M used in the concentration bound (None:
-    the tally's round count).  Needs no session record, so simulated count
-    vectors are scored the same way as sessions read from files.
-    """
-    ent = entropy_report(dist, prediction, confidence=confidence,
-                         sample_size=ect_sample_size,
-                         base_corrected=base_corrected)
-    chi = chi_square_gof(dist, prediction, significance=significance)
-    dev = deviation_report(dist, prediction, ent.s_e)
-    return ent, chi, dev
-
-
 def analyze_session(record: SessionRecord, prediction: MaxentPrediction,
                     input_digest: str, source: str = "<memory>",
                     group_id: int = 1, confidence: float = 0.95,
                     significance: float = 0.05,
                     base_corrected: bool = False,
                     ect_sample_size: int | None = None) -> AnalysisReport:
-    """The full report for one session: `score_session` on the record's
-    tally and its fit `prediction`, which the caller makes once so it can
-    draw the same pair, plus where the session came from: its treatment,
-    group, source name, the tool version and `input_digest`, the sha256 of
-    its canonical CSV (from `write_session_csv` or `session_digest`)."""
-    ent, chi, dev = score_session(record.distribution(), prediction,
-                                  confidence, significance, base_corrected,
-                                  ect_sample_size)
+    """The full report for one session: the record's tally scored against
+    its fit `prediction` (`fit_prediction`, which the caller makes once so
+    it can draw the same pair) by the entropy comparison with its
+    concentration bound, the chi-square test and the deviation statistics;
+    plus where the session came from: its treatment, group, source name,
+    the tool version and `input_digest`, the sha256 of its canonical CSV
+    (from `write_session_csv` or `session_digest`).
+
+    ect_sample_size overrides the M used in the concentration bound (None:
+    the tally's round count)."""
+    dist = record.distribution()
+    ent = entropy_report(dist, prediction, confidence=confidence,
+                         sample_size=ect_sample_size,
+                         base_corrected=base_corrected)
+    chi = chi_square_gof(dist, prediction, significance=significance)
+    dev = deviation_report(dist, prediction, ent.s_e)
     return AnalysisReport(treatment_id=record.treatment_id,
                           group_id=group_id, source=source,
                           mean_p=prediction.mean.o_p,

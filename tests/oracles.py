@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from maxentgames import binomial_prediction, mean_observation, session_digest
+from maxentgames import fit_prediction, session_digest
 
 
 def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
@@ -27,16 +27,10 @@ def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
     return vector
 
 
-def fitted(dist):
-    """The Maxent prediction fitted from the distribution's own mean, the
-    one every statistic scores a session against."""
-    return binomial_prediction(mean_observation(dist), dist.n)
-
-
 def fit_and_digest(record):
     """A session record's self-fit and canonical-CSV digest, the two values
     the CLI passes to `analyze_session` after the record itself."""
-    return fitted(record.distribution()), session_digest(record)
+    return fit_prediction(record.distribution()), session_digest(record)
 
 
 def microstate_entropy(densities: Sequence[float], n: int) -> float:

@@ -23,6 +23,7 @@ from maxentgames import (
     dual_maxent_solve,
     ect_bound,
     entropy_report,
+    fit_prediction,
     get_treatment,
     lattice_cells,
     logit_policy,
@@ -39,7 +40,7 @@ from maxentgames.cli import main
 from maxentgames.kernels import splitmix64_sequence
 from maxentgames.sessionio import canonical_json, to_obj
 
-from oracles import _payoff_gap_x, _payoff_gap_y, fit_and_digest, fitted
+from oracles import _payoff_gap_x, _payoff_gap_y, fit_and_digest
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -78,7 +79,7 @@ def test_criterion_03_entropy_bound_structural():
         rounds = rng.randint(50, 2400)
         dist = run_session(treatment, policy, rounds=rounds,
                            seed=k).distribution()
-        report = entropy_report(dist, fitted(dist))
+        report = entropy_report(dist, fit_prediction(dist))
         worst = max(worst, report.s_e - report.s_t)
     ok = worst <= 1e-12
     _verdict(3, f"S_e <= S_t on {sessions} random sessions", ok,
@@ -114,7 +115,7 @@ def test_criterion_05_equilibrium_play_meets_concentration_bound():
         policy = nash_policy(treatment.payoffs)
         dist = run_session(treatment, policy, rounds=2400,
                            seed=seed).distribution()
-        report = entropy_report(dist, fitted(dist))
+        report = entropy_report(dist, fit_prediction(dist))
         if report.s_t - report.s_e <= bound:
             hits += 1
     fraction = hits / len(seeds)

@@ -1,20 +1,24 @@
-"""End-to-end CLI behavior through main(), plus entry-point checks.
+"""End-to-end CLI behavior through main(), plus entry-point checks and
+the package's exported names.
 
 The `maxentgames` console script declared in pyproject.toml is run by name
 from any checkout, through a launcher written the way an installer writes
 one; a really installed script is checked only where it is on PATH.
 """
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import maxentgames
 from maxentgames import (
     get_treatment,
     logit_policy,
@@ -165,6 +169,24 @@ class TestAnalyze:
         assert files == ["group_01.svg", "group_02.svg"]
         ET.fromstring((svg_dir / "group_01.svg").read_text())
 
+    def test_input_digest_is_of_the_canonical_csv(self, tmp_path):
+        # the digest hashes the record's re-serialization, not the bytes
+        # read, so a CRLF copy reports the LF original's digest
+        out = simulate_into(tmp_path)
+        lf = out / "group_01.csv"
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        digests = []
+        for path in (lf, crlf):
+            report_path = tmp_path / f"{path.stem}.json"
+            assert run_cli("analyze", str(path),
+                           "--json", str(report_path)) == 0
+            obj = json.loads(report_path.read_text())
+            digests.append(obj["sessions"][0]["input_digest"])
+        assert digests[0] == digests[1]
+        assert digests[0] == hashlib.sha256(lf.read_bytes()).hexdigest()
+        assert digests[1] != hashlib.sha256(crlf.read_bytes()).hexdigest()
+
     def test_strict_flags_bad_fit(self, tmp_path):
         # high-rationality logit play locks into corners; the chi-square
         # criterion catches it and --strict turns that into exit 1
@@ -257,6 +279,17 @@ class TestPredict:
     def test_out_of_range_mean(self, capsys):
         assert run_cli("predict", "1.5", "0.5") == 2
         assert "error:" in capsys.readouterr().err
+        assert run_cli("predict", "nan", "0.5") == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("o_p, o_q, population", [
+        ("0.999999999999", "0.999999999999", "13"),
+        ("0.25", "0.999999999999", "26"),
+    ])
+    def test_unevaluable_dual_exits_2(self, o_p, o_q, population, capsys):
+        assert run_cli("predict", o_p, o_q, "--population", population,
+                       "--solver", "dual") == 2
+        assert "error: dual solver" in capsys.readouterr().err
 
     @pytest.mark.parametrize("population", ["0", "-1"])
     def test_nonpositive_population(self, population, capsys):
@@ -330,6 +363,15 @@ class TestInstalledEntryPoints:
         proc = subprocess.run([sys.executable, "-m", "maxentgames"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+class TestPublicNames:
+    def test_all_lists_every_public_global(self):
+        # `from maxentgames import *` gives exactly what the package exports
+        public = {name for name, value in vars(maxentgames).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)}
+        assert public == set(maxentgames.__all__)
 
 
 class TestReproduce:

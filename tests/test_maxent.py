@@ -20,11 +20,12 @@ from maxentgames import (
     ect_bound,
     entropy,
     entropy_report,
+    fit_prediction,
     lattice_cells,
     lattice_freedoms,
 )
 
-from oracles import fitted, flat, microstate_entropy
+from oracles import flat, microstate_entropy
 
 N = 4
 CELLS = list(lattice_cells(N))
@@ -198,14 +199,15 @@ class TestEctBound:
 class TestEntropyReport:
     def test_self_fitted_prediction_brackets_entropy(self):
         dist = LatticeDistribution(n=N, counts=flat(N, {(1, 3): 150, (2, 2): 50}))
-        report = entropy_report(dist, fitted(dist))
+        report = entropy_report(dist, fit_prediction(dist))
         assert report.s_e <= report.s_t + 1e-12
         assert report.sample_size == 200
         assert report.delta_s_bound == pytest.approx(ect_bound(200), rel=1e-14)
 
     def test_sample_size_override(self):
         dist = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 10}))
-        report = entropy_report(dist, fitted(dist), sample_size=2400)
+        report = entropy_report(dist, fit_prediction(dist),
+                                sample_size=2400)
         assert report.sample_size == 2400
         assert report.delta_s_bound == pytest.approx(ect_bound(2400), rel=1e-14)
 
@@ -214,21 +216,22 @@ class TestEntropyReport:
         pred = binomial_prediction(MeanObservation(0.5, 0.5), N)
         counts = [round(d * 256) for d in pred.densities]
         dist = LatticeDistribution(n=N, counts=counts)
-        report = entropy_report(dist, fitted(dist))
+        report = entropy_report(dist, fit_prediction(dist))
         assert report.within_bound
         assert report.s_e == pytest.approx(report.s_t, abs=1e-14)
 
     def test_concentrated_observation_fails_bound(self):
         # everything on one off-mean cell: huge gap vs tiny bound at M=100000
         dist = LatticeDistribution(n=N, counts=flat(N, {(1, 0): 50_000, (0, 1): 50_000}))
-        report = entropy_report(dist, fitted(dist))
+        report = entropy_report(dist, fit_prediction(dist))
         assert not report.within_bound
         assert report.s_t - report.s_e > report.delta_s_bound
 
     def test_base_corrected_mode_shrinks_bound(self):
         dist = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 100}))
-        plain = entropy_report(dist, fitted(dist))
-        corrected = entropy_report(dist, fitted(dist), base_corrected=True)
+        plain = entropy_report(dist, fit_prediction(dist))
+        corrected = entropy_report(dist, fit_prediction(dist),
+                                   base_corrected=True)
         assert corrected.delta_s_bound < plain.delta_s_bound
 
 
@@ -269,3 +272,11 @@ class TestDualSolver:
     def test_no_convergence_when_starved(self):
         with pytest.raises(NoConvergence):
             dual_maxent_solve(MeanObservation(0.9, 0.9), N, max_iterations=1)
+
+    @pytest.mark.parametrize("p, q, n", [
+        (0.999999999999, 0.999999999999, 13),  # exp overflows
+        (0.25, 0.999999999999, 26),  # weights overflow to inf
+    ])
+    def test_unevaluable_dual_fails_loudly(self, p, q, n):
+        with pytest.raises(NoConvergence, match="dual solver"):
+            dual_maxent_solve(MeanObservation(p, q), n)

@@ -33,7 +33,6 @@ from maxentgames import (
     render_lattice_svg,
     run_ensemble,
     run_session,
-    score_session,
     session_digest,
     session_from_csv,
     session_to_csv,
@@ -47,7 +46,7 @@ from maxentgames.cli import main
 from maxentgames.sessionio import (_checked_rows, _plain_count_rows,
                                    format_float, to_obj)
 
-from oracles import fit_and_digest, fitted, flat
+from oracles import fit_and_digest, flat
 
 
 # a bad byte is reported on the line str.splitlines puts it on
@@ -429,7 +428,7 @@ class TestTreatmentConfig:
             parse_treatment_config(text)
 
     def test_nonpositive_layout(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="line 1"):
             parse_treatment_config("1 10 8 0 18 9 9 10 8 0 200\n")
 
     def test_empty_config(self):
@@ -519,7 +518,7 @@ class TestEnsembleSummary:
 class TestLatticeSvg:
     def fitted(self):
         record = run_session(get_treatment(1), rounds=200, seed=12)
-        return record.distribution(), fitted(record.distribution())
+        return record.distribution(), fit_prediction(record.distribution())
 
     def test_valid_xml(self):
         markup = render_lattice_svg(*self.fitted(),
@@ -542,14 +541,14 @@ class TestLatticeSvg:
     def test_no_residual_disks_when_exact(self):
         # observed exactly equals its own fitted prediction at a corner
         dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 10}))
-        markup = render_lattice_svg(dist, fitted(dist))
+        markup = render_lattice_svg(dist, fit_prediction(dist))
         assert "#c0392b" not in markup and "#2e6da4" not in markup
 
     def test_residual_radius_magnification(self):
         # point mass at center vs its balanced self-fit: surplus residual
         # 1 - 0.140625 saturates the five-fold area magnification
         dist = LatticeDistribution(n=4, counts=flat(4, {(2, 2): 100}))
-        markup = render_lattice_svg(dist, fitted(dist))
+        markup = render_lattice_svg(dist, fit_prediction(dist))
         assert 'r="42.00" fill="#c0392b"' in markup
         # deficit at (0,0): r = 42 * sqrt(5 / 256)
         expected = 42.0 * math.sqrt(5.0 / 256.0)
@@ -557,7 +556,7 @@ class TestLatticeSvg:
 
     def test_counts_labelled(self):
         dist = LatticeDistribution(n=4, counts=flat(4, {(1, 3): 7, (2, 2): 3}))
-        markup = render_lattice_svg(dist, fitted(dist))
+        markup = render_lattice_svg(dist, fit_prediction(dist))
         assert ">7</text>" in markup and ">3</text>" in markup
 
     def test_write_svg(self, tmp_path):
@@ -576,22 +575,18 @@ class TestScoreSession:
         assert parsed == simulated and hash(parsed) == hash(simulated)
         scored = []
         for record in (simulated, parsed):
-            dist = record.distribution()
-            prediction = fit_prediction(dist)
-            for options in ((0.95, 0.05, False, None),
-                            (0.9, 0.01, True, 2400)):
-                confidence, significance, base_corrected, m = options
-                scores = score_session(dist, prediction, *options)
+            prediction = fit_prediction(record.distribution())
+            for confidence, significance, base_corrected, m in (
+                    (0.95, 0.05, False, None), (0.9, 0.01, True, 2400)):
                 report = analyze_session(
                     record, prediction, session_digest(record),
                     confidence=confidence,
                     significance=significance, base_corrected=base_corrected,
                     ect_sample_size=m)
-                assert scores == (report.entropy, report.chi_square,
-                                  report.deviation)
                 assert (report.mean_p, report.mean_q) == (
                     prediction.mean.o_p, prediction.mean.o_q)
-                scored.append(scores)
+                scored.append((report.entropy, report.chi_square,
+                               report.deviation))
         assert scored[:2] == scored[2:]
 
     def test_quantile_cache_misses_once_per_argument(self, monkeypatch):

@@ -21,6 +21,7 @@ from maxentgames import (
     deviation_report,
     entropy,
     entropy_deviation,
+    fit_prediction,
     lattice_cells,
     one_sample_t_test,
     residual_grid,
@@ -28,7 +29,7 @@ from maxentgames import (
     z_statistic,
 )
 
-from oracles import fitted, flat
+from oracles import flat
 
 N = 4
 CELLS = list(lattice_cells(N))
@@ -80,7 +81,7 @@ class TestChiSquare:
 
     def test_criterion_and_freedoms(self):
         observed = microstate_counts()
-        report = chi_square_gof(observed, fitted(observed))
+        report = chi_square_gof(observed, fit_prediction(observed))
         assert report.freedoms == 22
         assert report.criterion == pytest.approx(33.924438471443793, abs=1e-9)
         assert report.significance == 0.05
@@ -134,7 +135,8 @@ class TestChiSquare:
     def test_invalid_significance(self):
         observed = microstate_counts()
         with pytest.raises(InvalidConfidence):
-            chi_square_gof(observed, fitted(observed), significance=0.0)
+            chi_square_gof(observed, fit_prediction(observed),
+                           significance=0.0)
 
 
 class TestZStatistic:
@@ -226,7 +228,7 @@ class TestEntropyDeviation:
     def test_deviation_report_consistency(self):
         observed = LatticeDistribution(
             n=N, counts=flat(N, {(1, 3): 150, (2, 2): 30, (1, 2): 20}))
-        report = deviation_report(observed, fitted(observed),
+        report = deviation_report(observed, fit_prediction(observed),
                                   entropy(observed.densities(), N))
         assert report.d_te == pytest.approx(
             1.0 - report.s_e / report.s_t, abs=1e-15)
@@ -241,7 +243,7 @@ class TestEntropyDeviation:
         # the only zero-entropy self-fit: the data are the predicted point
         # mass, so there is no gap and no deviation to score
         observed = LatticeDistribution(n=N, counts=flat(N, {(N, 0): 200}))
-        prediction = fitted(observed)
+        prediction = fit_prediction(observed)
         assert prediction.s_t == 0.0
         report = deviation_report(observed, prediction,
                                   entropy(observed.densities(), N))
