@@ -6,11 +6,11 @@ and test observation against prediction with entropy concentration bounds,
 chi-square goodness of fit, and distance-weighted deviation statistics.
 """
 
-from .errors import (BoundaryMean, DegenerateGame, DegenerateTheory,
-                     DuplicateId, EmptySession, InsufficientData,
-                     InvalidConfidence, InvalidProbability, InvalidRounds,
-                     MaxentGamesError, NoConvergence, NoInteriorEquilibrium, NotNormalized,
-                     OutOfRange, ParseError, RangeError, SchemaError)
+from .errors import (DegenerateGame, DegenerateTheory, DuplicateId,
+                     EmptySession, InsufficientData, InvalidConfidence,
+                     InvalidProbability, InvalidRounds, MaxentGamesError,
+                     NoInteriorEquilibrium, NotNormalized, OutOfRange,
+                     ParseError, RangeError, SchemaError)
 from .games import (EquilibriumPoint, PayoffMatrix, Treatment, get_treatment,
                     mixed_nash, parse_treatment_config, read_treatment_config,
                     treatment_catalog)
@@ -18,8 +18,7 @@ from .kernels import BACKEND
 from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
                       lattice_cells, mean_observation, tally)
 from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
-                     dual_maxent_solve, ect_bound, entropy, entropy_report,
-                     lattice_freedoms)
+                     ect_bound, entropy, entropy_report, lattice_freedoms)
 from .sessionio import (AnalysisReport, EnsembleSummary, analyze_session,
                         canonical_json, fit_prediction, read_session_csv,
                         render_lattice_svg, session_digest,
@@ -37,20 +36,20 @@ from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "AnalysisReport", "BACKEND", "BoundaryMean", "ChiSquareReport",
+    "AnalysisReport", "BACKEND", "ChiSquareReport",
     "DEFAULT_POPULATION", "DegenerateGame", "DegenerateTheory",
     "DeviationReport", "DuplicateId", "EmptySession", "EnsembleSummary",
     "EntropyReport", "EquilibriumPoint", "InsufficientData",
     "InvalidConfidence", "InvalidProbability", "InvalidRounds",
     "LatticeDistribution", "MaxentGamesError", "MaxentPrediction",
-    "MeanObservation", "NoConvergence",
-    "NoInteriorEquilibrium", "NotNormalized", "OutOfRange", "ParseError",
+    "MeanObservation", "NoInteriorEquilibrium", "NotNormalized",
+    "OutOfRange", "ParseError",
     "PayoffMatrix", "PolicySpec", "RangeError", "SchemaError",
     "SessionRecord", "SummaryStats", "TOOL_VERSION", "TTestReport",
     "Treatment", "analyze_session", "binomial_prediction", "canonical_json",
     "chi_square_gof", "chi_square_quantile", "degeneracy",
-    "deviation_report", "dual_maxent_solve",
-    "ect_bound", "entropy", "entropy_deviation", "entropy_report",
+    "deviation_report", "ect_bound", "entropy", "entropy_deviation",
+    "entropy_report",
     "fit_prediction", "get_treatment", "lattice_cells", "lattice_freedoms",
     "logit_policy",
     "mean_observation", "mixed_nash", "mixed_policy", "nash_policy",

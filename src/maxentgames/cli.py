@@ -19,8 +19,7 @@ from .games import (Treatment, get_treatment, mixed_nash,
                     read_treatment_config, treatment_catalog)
 from .kernels import splitmix64_sequence
 from .lattice import MeanObservation
-from .maxent import (MaxentPrediction, binomial_prediction, dual_maxent_solve,
-                     ect_bound)
+from .maxent import MaxentPrediction, binomial_prediction, ect_bound
 from .sessionio import (AnalysisReport, analyze_session, canonical_json,
                         fit_prediction, format_float, read_session_csv,
                         session_digest, summarize_ensemble, to_obj,
@@ -172,17 +171,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     mean = MeanObservation(args.o_p, args.o_q)
     prediction = binomial_prediction(mean, args.population)
     _print_prediction(prediction)
-    gap = None
-    if args.solver == "dual":
-        solved = dual_maxent_solve(mean, args.population)
-        gap = max(abs(s - e) for s, e in zip(solved, prediction.densities))
-        print(f"dual solver sup-norm gap: {format_float(gap)}")
     if args.out is not None:
         obj = {"n": args.population, "mean": [mean.o_p, mean.o_q],
-               "s_t": prediction.s_t, "solver": args.solver,
+               "s_t": prediction.s_t, "solver": "closed",
                "densities": to_obj(prediction.densities)}
-        if gap is not None:
-            obj["dual_gap"] = gap
         write_text(args.out, canonical_json(obj) + "\n")
     return 0
 
@@ -334,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("o_q", type=float, help="mean Y action-1 density")
     pre.add_argument("--population", type=int, default=DEFAULT_POPULATION,
                      help="agents per side (default: %(default)s)")
-    pre.add_argument("--solver", choices=("closed", "dual"),
-                     default="closed",
-                     help="dual: cross-check the iterative solver")
     pre.add_argument("--out", default=None, help="write prediction JSON here")
     pre.set_defaults(func=cmd_predict)
     return parser

@@ -42,14 +42,6 @@ class InvalidProbability(MaxentGamesError):
     """A probability argument is outside its valid range."""
 
 
-class BoundaryMean(MaxentGamesError):
-    """The dual solver needs a strictly interior mean observation."""
-
-
-class NoConvergence(MaxentGamesError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
-
-
 class DegenerateTheory(MaxentGamesError):
     """Theoretical entropy is zero, so relative deviation is undefined."""
 

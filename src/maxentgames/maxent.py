@@ -5,7 +5,7 @@ credited with the log of its degeneracy, which equals plain Shannon entropy
 over all 2^(2n) individual action profiles when profiles within a state are
 equiprobable.  Under the two first-moment constraints this entropy is
 maximized by the product-binomial distribution, evaluated in closed form by
-binomial_prediction and independently by the dual Newton solver.
+binomial_prediction.
 
 Entropy base: gamma = 2^(2n) (one bit per agent), so values live in [0, 1]
 for any population size.
@@ -17,14 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (BoundaryMean, InvalidConfidence, NoConvergence,
-                     NotNormalized, OutOfRange)
+from .errors import InvalidConfidence, NotNormalized, OutOfRange
 from .lattice import (LatticeDistribution, MeanObservation,
                       check_population, degeneracy, lattice_cells)
 from .special import chi_square_quantile
 
 _NORMALIZATION_TOL = 1e-9
-_DUAL_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,76 +143,3 @@ def entropy_report(observed: LatticeDistribution,
                       base_bits=2 * n if base_corrected else None)
     return EntropyReport(s_e=s_e, s_t=s_t, delta_s_bound=bound,
                          sample_size=m, within_bound=(s_t - s_e) <= bound)
-
-
-def _moment(n: int, log_weight_step: float) -> tuple[float, float]:
-    """Mean and variance of i/n under rho_i proportional to C(n,i) exp(theta*i)."""
-    weights = [math.comb(n, i) * math.exp(log_weight_step * i)
-               for i in range(n + 1)]
-    z = math.fsum(weights)
-    mean = math.fsum(w * i for i, w in enumerate(weights)) / (z * n)
-    second = math.fsum(w * i * i for i, w in enumerate(weights)) / (z * n * n)
-    return mean, second - mean * mean
-
-
-def dual_maxent_solve(mean: MeanObservation, n: int,
-                      max_iterations: int = 200) -> list[float]:
-    """Independent Maxent solver: damped Newton on the Lagrangian dual.
-
-    Maximizes the degeneracy-corrected entropy subject to the two mean
-    constraints by solving the moment-matching equations for the dual
-    variables (theta_p, theta_q) of the exponential family
-    rho_ij ~ D_ij exp(theta_p i + theta_q j).  The iteration starts at
-    theta = 0 (the uniform microstate distribution), not at the closed-form
-    answer logit(mean), so the solver reaches it on its own.
-
-    Exists as an oracle for binomial_prediction; agreement to sup-norm 1e-8
-    is part of the acceptance gate.  Raises NoConvergence where the dual
-    cannot be evaluated: a residual that does not reach tolerance (or is
-    NaN), or weights that are not finite doubles.
-    """
-    p, q = mean.o_p, mean.o_q
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        raise BoundaryMean(f"dual solver needs an interior mean, got ({p}, {q})")
-    theta = [0.0, 0.0]
-
-    def residual(th: list[float]) -> tuple[list[float], list[float]]:
-        mp, vp = _moment(n, th[0])
-        mq, vq = _moment(n, th[1])
-        return [mp - p, mq - q], [vp, vq]
-
-    res, var = residual(theta)
-    err = max(abs(res[0]), abs(res[1]))
-    for _ in range(max_iterations):
-        if err <= _DUAL_TOLERANCE:
-            break
-        # Diagonal Newton step (the two moments decouple); variances stay
-        # positive for interior means so the step is always defined.
-        step = [res[0] / (n * var[0]), res[1] / (n * var[1])]
-        damping = 1.0
-        while True:
-            trial = [theta[0] - damping * step[0], theta[1] - damping * step[1]]
-            try:
-                trial_res, trial_var = residual(trial)
-            except OverflowError:
-                # step left the evaluable range of exp; damp harder (the
-                # current theta evaluated fine, so this terminates)
-                damping *= 0.5
-                continue
-            trial_err = max(abs(trial_res[0]), abs(trial_res[1]))
-            if trial_err < err or damping < 1e-8:
-                theta, res, var, err = trial, trial_res, trial_var, trial_err
-                break
-            damping *= 0.5
-    if not err <= _DUAL_TOLERANCE:  # a NaN residual fails here too
-        raise NoConvergence(
-            f"dual solver residual {err:.3e} after {max_iterations} iterations")
-    try:
-        weights = [degeneracy(n, i, j) * math.exp(theta[0] * i + theta[1] * j)
-                   for (i, j) in lattice_cells(n)]
-        z = math.fsum(weights)
-    except OverflowError:
-        z = math.inf
-    if not z < math.inf:
-        raise NoConvergence(f"dual solver weights not finite at theta {theta}")
-    return [w / z for w in weights]

@@ -8,7 +8,9 @@ Formats are deliberately boring and fully deterministic:
   accepted on read and collapsed to counts.  A leading UTF-8 byte-order
   mark is skipped on read, as in treatment configs.
 * analysis JSON: canonical rendering (sorted keys, 17-significant-digit
-  floats) for any JSON parser, byte-stable across runs and platforms.
+  floats), byte-stable across runs and platforms.  Non-finite floats are
+  written as the `Infinity`/`NaN` literals Python's `json` reads; strict
+  RFC 8259 parsers reject them.
 * lattice SVG: hand-assembled markup, no drawing library, so identical
   input yields identical bytes.
 

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity by a route deliberately different from
 the library's: entropy by enumerating every individual action profile,
 equilibria by searching for best-response indifference on a grid plus
-bisection, degeneracy by explicit profile counting.  Agreement between the
-two routes is what the derived test values rest on.
+bisection, degeneracy by explicit profile counting, the Maxent density by
+Newton iteration on the Lagrangian dual.  Agreement between the two routes
+is what the derived test values rest on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from maxentgames import fit_prediction, session_digest
+from maxentgames import (MeanObservation, degeneracy, fit_prediction,
+                         lattice_cells, session_digest)
+
+_DUAL_TOLERANCE = 1e-12
 
 
 def flat(n: int, cells: Mapping[tuple[int, int], float]) -> list:
@@ -116,3 +120,79 @@ def exact_nash_fraction(payoffs) -> tuple[Fraction, Fraction]:
     p = (Fraction(payoffs.b22) - payoffs.b21) / den_p
     q = (Fraction(payoffs.a22) - payoffs.a12) / den_q
     return p, q
+
+
+def _moment(n: int, log_weight_step: float) -> tuple[float, float]:
+    """Mean and variance of i/n under rho_i proportional to C(n,i) exp(theta*i)."""
+    weights = [math.comb(n, i) * math.exp(log_weight_step * i)
+               for i in range(n + 1)]
+    z = math.fsum(weights)
+    mean = math.fsum(w * i for i, w in enumerate(weights)) / (z * n)
+    second = math.fsum(w * i * i for i, w in enumerate(weights)) / (z * n * n)
+    return mean, second - mean * mean
+
+
+def dual_maxent_solve(mean: MeanObservation, n: int,
+                      max_iterations: int = 200) -> list[float]:
+    """Independent Maxent solver: damped Newton on the Lagrangian dual.
+
+    Maximizes the degeneracy-corrected entropy subject to the two mean
+    constraints by solving the moment-matching equations for the dual
+    variables (theta_p, theta_q) of the exponential family
+    rho_ij ~ D_ij exp(theta_p i + theta_q j).  The iteration starts at
+    theta = 0 (the uniform microstate distribution), not at the closed-form
+    answer logit(mean), so the solver reaches it on its own.
+
+    The oracle for binomial_prediction; agreement to sup-norm 1e-8 is part
+    of the acceptance gate.  Raises ValueError for a mean on the boundary,
+    and ArithmeticError where the dual cannot be evaluated: a residual that
+    does not reach tolerance (or is NaN in either coordinate), or weights
+    that are not finite doubles.
+    """
+    p, q = mean.o_p, mean.o_q
+    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
+        raise ValueError(f"dual solver needs an interior mean, got ({p}, {q})")
+    theta = [0.0, 0.0]
+
+    def residual(th: list[float]) -> tuple[list[float], list[float]]:
+        mp, vp = _moment(n, th[0])
+        mq, vq = _moment(n, th[1])
+        return [mp - p, mq - q], [vp, vq]
+
+    res, var = residual(theta)
+    # hypot is NaN when either coordinate is, so neither can hide the other
+    err = math.hypot(res[0], res[1])
+    for _ in range(max_iterations):
+        if err <= _DUAL_TOLERANCE:
+            break
+        # Diagonal Newton step (the two moments decouple); variances stay
+        # positive for interior means so the step is always defined.
+        step = [res[0] / (n * var[0]), res[1] / (n * var[1])]
+        damping = 1.0
+        while True:
+            trial = [theta[0] - damping * step[0], theta[1] - damping * step[1]]
+            try:
+                trial_res, trial_var = residual(trial)
+            except OverflowError:
+                # step left the evaluable range of exp; damp harder (the
+                # current theta evaluated fine, so this terminates)
+                damping *= 0.5
+                continue
+            trial_err = math.hypot(trial_res[0], trial_res[1])
+            if trial_err < err or damping < 1e-8:
+                theta, res, var, err = trial, trial_res, trial_var, trial_err
+                break
+            damping *= 0.5
+    if not err <= _DUAL_TOLERANCE:  # a NaN residual fails here too
+        raise ArithmeticError(
+            f"dual solver residual {err:.3e} after {max_iterations} iterations")
+    try:
+        weights = [degeneracy(n, i, j) * math.exp(theta[0] * i + theta[1] * j)
+                   for (i, j) in lattice_cells(n)]
+        z = math.fsum(weights)
+    except OverflowError:
+        z = math.inf
+    if not z < math.inf:
+        raise ArithmeticError(
+            f"dual solver weights not finite at theta {theta}")
+    return [w / z for w in weights]

@@ -20,7 +20,6 @@ from maxentgames import (
     chi_square_gof,
     chi_square_quantile,
     degeneracy,
-    dual_maxent_solve,
     ect_bound,
     entropy_report,
     fit_prediction,
@@ -40,7 +39,8 @@ from maxentgames.cli import main
 from maxentgames.kernels import splitmix64_sequence
 from maxentgames.sessionio import canonical_json, to_obj
 
-from oracles import _payoff_gap_x, _payoff_gap_y, fit_and_digest
+from oracles import (_payoff_gap_x, _payoff_gap_y, dual_maxent_solve,
+                     fit_and_digest)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

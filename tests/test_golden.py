@@ -1,7 +1,7 @@
 """Golden output bytes of the paper-facing commands.
 
 Pins the sha256 of what `reproduce --seed 42`, `analyze` over that tree
-(with --json and --svg), `predict --solver dual` and a history-dependent
+(with --json and --svg), `predict 0.3 0.8` and a history-dependent
 logit `simulate` under each matching scheme write, so a refactor cannot
 silently move a number, a per-cell residual or an SVG pixel.  The digests
 are the same on the pure-Python and the compiled kernel.
@@ -28,10 +28,10 @@ ANALYZE_REPORT = ("8010b54de98c1270d2c9a973aa78e411"
                   "07f72521d8c1aea12a1bb25426fd6d67")
 ANALYZE_SVG_TREE = ("f3b42c6659b4891155fbba3f89e537c3"
                     "fdb44f8d1e71e70974abed85fb7f5ad2")
-PREDICT_JSON = ("caf29ecff91c62a16e0f4577114a6a19"
-                "bd7e6587b11d90558fb8ce5c251bf82f")
-PREDICT_STDOUT = ("97f18c6144049be85c2158b8b76720f4"
-                  "52b6060f9d1d17eea673b56b3edcfca2")
+PREDICT_JSON = ("3b9bbdc4ee612d95376d611c1fcca584"
+                "a5ff8b9b43ff2c1a3bd8077e5975e231")
+PREDICT_STDOUT = ("62cfecddfefc2ad943c22503f8987a6e"
+                  "c69356cdaba5240626443bcade5c79f5")
 # simulate --treatment 1 --policy logit --intensity 0.5 --population 8
 #          --rounds 300 --groups 3 --seed 42 --matching <scheme>
 SIMULATE_LOGIT = {
@@ -124,11 +124,10 @@ class TestAnalyze:
 
 
 class TestPredict:
-    def test_dual_prediction(self, tmp_path, capsys, monkeypatch):
+    def test_prediction(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
-        assert main(["predict", "0.3", "0.8", "--solver", "dual",
-                     "--out", "p.json"]) == 0
+        assert main(["predict", "0.3", "0.8", "--out", "p.json"]) == 0
         stdout = capsys.readouterr().out
         assert sha256((tmp_path / "p.json").read_bytes()) == PREDICT_JSON
         assert sha256(stdout.encode("utf-8")) == PREDICT_STDOUT
