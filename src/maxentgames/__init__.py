@@ -30,8 +30,7 @@ from .simulate import (DEFAULT_POPULATION, PolicySpec, SessionRecord,
 from .special import chi_square_quantile, student_t_quantile
 from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     TTestReport, chi_square_gof, deviation_report,
-                    entropy_deviation, one_sample_t_test, residual_grid,
-                    summarize, z_statistic)
+                    one_sample_t_test, summarize)
 
 __version__ = TOOL_VERSION
 
@@ -48,16 +47,14 @@ __all__ = [
     "SessionRecord", "SummaryStats", "TOOL_VERSION", "TTestReport",
     "Treatment", "analyze_session", "binomial_prediction", "canonical_json",
     "chi_square_gof", "chi_square_quantile", "degeneracy",
-    "deviation_report", "ect_bound", "entropy", "entropy_deviation",
-    "entropy_report",
+    "deviation_report", "ect_bound", "entropy", "entropy_report",
     "fit_prediction", "get_treatment", "lattice_cells", "lattice_freedoms",
     "logit_policy",
     "mean_observation", "mixed_nash", "mixed_policy", "nash_policy",
     "one_sample_t_test", "parse_policy", "parse_treatment_config",
     "read_session_csv", "read_treatment_config", "render_lattice_svg",
-    "residual_grid", "run_ensemble",
-    "run_session", "session_digest", "session_from_csv", "session_to_csv",
+    "run_ensemble", "run_session", "session_digest", "session_from_csv",
+    "session_to_csv",
     "student_t_quantile", "summarize", "summarize_ensemble", "tally",
     "treatment_catalog", "write_lattice_svg", "write_session_csv",
-    "z_statistic",
 ]

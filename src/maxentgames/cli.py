@@ -199,8 +199,11 @@ def _groups_row(report: AnalysisReport, seed: int) -> str:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    # present even when no session is flagged, so the tree has one shape
+    # present even when no session is flagged, so the tree has one shape;
+    # an earlier run's drawings go, so svg/ matches this run's groups.csv
     (out / "svg").mkdir(parents=True, exist_ok=True)
+    for stale in (out / "svg").glob("treatment_*_group_*.svg"):
+        stale.unlink()
 
     catalog = treatment_catalog()
     treatment_seeds = splitmix64_sequence(args.seed, len(catalog))

@@ -38,7 +38,7 @@ from .stats import (ChiSquareReport, DeviationReport, SummaryStats,
                     one_sample_t_test, summarize)
 
 TOOL_VERSION = "0.1.0"
-ENSEMBLE_CONFIDENCE = 0.99  # CI level of summarize_ensemble
+ENSEMBLE_CONFIDENCE = 0.99  # CI of the d_te and z summaries, not the t tests
 
 # ---------------------------------------------------------------------------
 # canonical JSON
@@ -339,7 +339,8 @@ def analyze_session(record: SessionRecord, prediction: MaxentPrediction,
 
 def summarize_ensemble(reports: Sequence[AnalysisReport]) -> EnsembleSummary:
     """Aggregate several session reports the way a results table would:
-    mean/SE/CI of D_te and Z plus t tests against zero."""
+    mean/SE/CI of D_te and Z at ENSEMBLE_CONFIDENCE (99%), plus t tests
+    against zero with one_sample_t_test's default 95% intervals."""
     d_values = [r.deviation.d_te for r in reports]
     z_values = [r.deviation.z for r in reports]
     return EnsembleSummary(

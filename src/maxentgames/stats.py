@@ -122,75 +122,38 @@ def chi_square_gof(observed: LatticeDistribution,
                            min_expected=min_expected, impossible=impossible)
 
 
-def entropy_deviation(s_e: float, s_t: float) -> float:
-    """Relative entropy gap D_te = 1 - S_e / S_t (positive when the data
-    are more concentrated than the prediction)."""
-    if s_t == 0.0:
-        raise DegenerateTheory("theoretical entropy is zero")
-    return 1.0 - s_e / s_t
-
-
-def z_statistic(observed: LatticeDistribution,
-                prediction: MaxentPrediction) -> float:
-    """Distance-weighted density deviation, anchored at the prediction's
-    mean (the observed mean when the prediction is self-fitted).
-
-    Z = sum_ij ||(i/n, j/n) - mean||_2 * (E_ij - rho_ij).  Positive Z means
-    observed mass sits nearer the mean than predicted (more concentrated);
-    negative Z means mass pushed outward.
-    """
-    mean = prediction.mean
-    n = observed.n
-    acc = 0.0
-    for (i, j), rho, expected in zip(lattice_cells(n), observed.densities(),
-                                     prediction.densities):
-        dist = math.hypot(i / n - mean.o_p, j / n - mean.o_q)
-        acc += dist * (expected - rho)
-    return acc
-
-
-def residual_grid(observed: LatticeDistribution,
-                  prediction: MaxentPrediction) -> list[float]:
-    """Row-major per-cell density residuals rho_ij - E_ij (observed minus
-    predicted).  Residuals sum to zero since both densities are normalized."""
-    return [rho - expected for rho, expected
-            in zip(observed.densities(), prediction.densities)]
-
-
 def deviation_report(observed: LatticeDistribution,
                      prediction: MaxentPrediction,
                      s_e: float) -> DeviationReport:
     """Z, D_te, and per-cell residuals for one session, given its observed
-    entropy s_e.
+    entropy s_e, in one pass over the lattice.
 
-    When s_e and s_t are both zero the prediction is the point mass the data
-    already are (a corner mean scored against its own fit), so D_te is 0.
-    A zero-entropy prediction against spread data raises DegenerateTheory.
+    Z = sum_ij ||(i/n, j/n) - mean||_2 * (E_ij - rho_ij), a distance-weighted
+    density deviation anchored at the prediction's mean (the observed mean
+    when the prediction is self-fitted).  Positive Z means observed mass
+    sits nearer the mean than predicted (more concentrated); negative Z
+    means mass pushed outward.
+
+    D_te = 1 - S_e / S_t, the relative entropy gap (positive when the data
+    are more concentrated than the prediction).  When s_e and s_t are both
+    zero the prediction is the point mass the data already are (a corner
+    mean scored against its own fit), so D_te is 0.  A zero-entropy
+    prediction against spread data raises DegenerateTheory.  The residuals
+    rho_ij - E_ij (observed minus predicted) run row-major over the lattice.
     """
-    if s_e == 0.0 and prediction.s_t == 0.0:
-        d_te = 0.0
-    else:
-        d_te = entropy_deviation(s_e, prediction.s_t)
-    return DeviationReport(
-        d_te=d_te,
-        z=z_statistic(observed, prediction),
-        per_cell=residual_grid(observed, prediction),
-        s_e=s_e, s_t=prediction.s_t)
-
-
-def _sample(values: Sequence[float], confidence: float,
-            what: str) -> tuple[int, float, float]:
-    """Count, mean and standard error of a sample of at least two values."""
-    if len(values) < 2:
-        raise InsufficientData(
-            f"{what} needs at least 2 values, got {len(values)}")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfidence(
-            f"confidence must be in (0, 1), got {confidence}")
-    count = len(values)
-    mean = math.fsum(values) / count
-    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
-    return count, mean, math.sqrt(var / count)
+    s_t = prediction.s_t
+    if s_t == 0.0 and s_e != 0.0:
+        raise DegenerateTheory("theoretical entropy is zero")
+    d_te = 0.0 if s_t == 0.0 else 1.0 - s_e / s_t
+    mean = prediction.mean
+    n = observed.n
+    z = 0.0
+    per_cell = []
+    for (i, j), rho, expected in zip(lattice_cells(n), observed.densities(),
+                                     prediction.densities):
+        z += math.hypot(i / n - mean.o_p, j / n - mean.o_q) * (expected - rho)
+        per_cell.append(rho - expected)
+    return DeviationReport(d_te=d_te, z=z, per_cell=per_cell, s_e=s_e, s_t=s_t)
 
 
 def summarize(values: Sequence[float],
@@ -200,12 +163,18 @@ def summarize(values: Sequence[float],
     A constant sample collapses the interval to the mean.  Needs at least
     two observations.
     """
-    count, mean, se = _sample(values, confidence, "summary")
-    if se == 0.0:
-        return SummaryStats(mean=mean, std_error=0.0, ci_low=mean,
-                            ci_high=mean, confidence=confidence,
-                            sample_count=count)
-    half = student_t_quantile(count - 1, 0.5 + confidence / 2.0) * se
+    if len(values) < 2:
+        raise InsufficientData(
+            f"summary needs at least 2 values, got {len(values)}")
+    if not 0.0 < confidence < 1.0:
+        raise InvalidConfidence(
+            f"confidence must be in (0, 1), got {confidence}")
+    count = len(values)
+    mean = math.fsum(values) / count
+    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    se = math.sqrt(var / count)
+    half = (0.0 if se == 0.0 else
+            student_t_quantile(count - 1, 0.5 + confidence / 2.0) * se)
     return SummaryStats(mean=mean, std_error=se, ci_low=mean - half,
                         ci_high=mean + half, confidence=confidence,
                         sample_count=count)
@@ -213,22 +182,20 @@ def summarize(values: Sequence[float],
 
 def one_sample_t_test(values: Sequence[float], mu0: float = 0.0,
                       confidence: float = 0.95) -> TTestReport:
-    """Two-sided one-sample t test of mean(values) against mu0.
-
-    Needs at least two observations.  A zero-variance sample degenerates to
-    t = 0 (p = 1) when the mean hits mu0 exactly, else t = +-inf with
-    p = 0; reported, not raised.
+    """Two-sided one-sample t test of mean(values) against mu0, with the
+    count, mean and confidence interval of `summarize`.  A zero-variance
+    sample degenerates to t = 0 (p = 1) when the mean hits mu0 exactly,
+    else t = +-inf with p = 0; reported, not raised.
     """
-    count, mean, se = _sample(values, confidence, "t test")
-    freedoms = count - 1
-    if se == 0.0:
+    summary = summarize(values, confidence)
+    freedoms = summary.sample_count - 1
+    mean = summary.mean
+    if summary.std_error == 0.0:
         t = 0.0 if mean == mu0 else math.copysign(math.inf, mean - mu0)
-        return TTestReport(t=t, p_value=1.0 if t == 0.0 else 0.0,
-                           freedoms=freedoms, mean=mean, ci_low=mean,
-                           ci_high=mean, confidence=confidence)
-    t = (mean - mu0) / se
-    p = student_t_two_sided_p(freedoms, t)
-    half = student_t_quantile(freedoms, 0.5 + confidence / 2.0) * se
+        p = 1.0 if t == 0.0 else 0.0
+    else:
+        t = (mean - mu0) / summary.std_error
+        p = student_t_two_sided_p(freedoms, t)
     return TTestReport(t=t, p_value=p, freedoms=freedoms, mean=mean,
-                       ci_low=mean - half, ci_high=mean + half,
+                       ci_low=summary.ci_low, ci_high=summary.ci_high,
                        confidence=confidence)

@@ -6,6 +6,7 @@ from any checkout, through a launcher written the way an installer writes
 one; a really installed script is checked only where it is on PATH.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -373,6 +374,28 @@ class TestPublicNames:
         assert public == set(maxentgames.__all__)
 
 
+class TestStdlibOnly:
+    def test_runtime_imports_only_the_standard_library(self):
+        # the package declares no dependencies; every absolute import in
+        # its modules must come from the standard library or the package
+        package = Path(maxentgames.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert modules
+        for path in modules:
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    root = name.split(".")[0]
+                    assert (root in sys.stdlib_module_names
+                            or root == "maxentgames"), (path.name, name)
+
+
 class TestReproduce:
     def test_tree_shape_and_summary(self, tmp_path, capsys):
         out = tmp_path / "repro"
@@ -404,6 +427,25 @@ class TestReproduce:
         lines = (out / "groups.csv").read_text().splitlines()
         assert lines[0].startswith("treatment,group,seed")
         assert len(lines) == 1 + total_groups
+
+    def test_rerun_into_one_tree_keeps_only_its_own_drawings(
+            self, tmp_path, capsys):
+        # seed 42 flags sessions that seed 7 does not; rerunning seed 7 into
+        # the seed-42 tree must leave the drawings of a fresh seed-7 run,
+        # and leave alone any file reproduce does not write
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_cli("reproduce", "--seed", "42", "--out", str(reused)) == 0
+        (reused / "svg" / "notes.txt").write_text("kept\n")
+        assert run_cli("reproduce", "--seed", "7", "--out", str(reused)) == 0
+        assert run_cli("reproduce", "--seed", "7", "--out", str(fresh)) == 0
+        capsys.readouterr()
+        assert (reused / "svg" / "notes.txt").read_text() == "kept\n"
+        (reused / "svg" / "notes.txt").unlink()
+
+        def drawings(out):
+            return {p.name: p.read_bytes() for p in (out / "svg").iterdir()}
+
+        assert drawings(reused) == drawings(fresh)
 
     def test_requires_seed(self, capsys):
         assert run_cli("reproduce", "--out", "/tmp/ignored") == 2

@@ -513,6 +513,8 @@ class TestEnsembleSummary:
             math.fsum(d_values) / 4, abs=1e-15)
         assert summary.d_te_test.freedoms == 3
         assert summary.d_te.confidence == 0.99
+        # the t tests keep their own, narrower interval level
+        assert summary.d_te_test.confidence == 0.95
 
 
 class TestLatticeSvg:

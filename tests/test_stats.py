@@ -1,12 +1,13 @@
 """Fit statistics: chi-square GOF, the Z pattern statistic, entropy gaps,
 and the t-test aggregation layer."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxentgames import (
     DegenerateTheory,
@@ -17,16 +18,15 @@ from maxentgames import (
     MeanObservation,
     binomial_prediction,
     chi_square_gof,
+    chi_square_quantile,
     degeneracy,
     deviation_report,
     entropy,
-    entropy_deviation,
+    entropy_report,
     fit_prediction,
     lattice_cells,
     one_sample_t_test,
-    residual_grid,
     summarize,
-    z_statistic,
 )
 
 from oracles import flat
@@ -40,6 +40,34 @@ def microstate_counts():
     # a perfect sample of the balanced binomial product
     return LatticeDistribution(
         n=N, counts=[degeneracy(N, *cell) for cell in CELLS])
+
+
+def score(observed, prediction):
+    """The deviation report with the observed entropy as s_e."""
+    return deviation_report(observed, prediction,
+                            entropy(observed.densities(), observed.n))
+
+
+@st.composite
+def tallies(draw):
+    """M in 1..2400 rounds on a lattice with n in 1..8: spread over a random
+    support (so some cells are empty), kept to one edge of the lattice (a
+    boundary mean), or all in one cell."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    cells = list(lattice_cells(n))
+    shape = draw(st.sampled_from(["spread", "edge", "single"]))
+    if shape == "edge":
+        axis = draw(st.integers(min_value=0, max_value=1))
+        side = draw(st.sampled_from([0, n]))
+        cells = [cell for cell in cells if cell[axis] == side]
+    rounds = draw(st.integers(min_value=1, max_value=2400))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    support = rng.sample(cells, 1 if shape == "single"
+                         else rng.randint(1, len(cells)))
+    counts = dict.fromkeys(support, 0)
+    for cell in rng.choices(support, k=rounds):
+        counts[cell] += 1
+    return LatticeDistribution(n=n, counts=flat(n, counts))
 
 
 def random_counts(rng, total=500):
@@ -149,20 +177,19 @@ class TestZStatistic:
                                      mean=mean, s_t=0.0)
         observed = LatticeDistribution(
             n=n, counts=flat(n, {(1, 1): 99, (2, 2): 1}))
-        z = z_statistic(observed, predicted)
+        z = deviation_report(observed, predicted, s_e=0.0).z
         assert z == pytest.approx(-0.01 * math.sqrt(0.5), abs=1e-15)
 
     def test_zero_when_distributions_equal(self):
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         observed = microstate_counts()
-        assert z_statistic(observed, prediction) == pytest.approx(
-            0.0, abs=1e-15)
+        assert score(observed, prediction).z == pytest.approx(0.0, abs=1e-15)
 
     def test_concentration_is_positive(self):
         # all observed mass on the cell at the prediction's mean
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         observed = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 100}))
-        z = z_statistic(observed, prediction)
+        z = score(observed, prediction).z
         assert z > 0
 
     def test_dispersion_is_negative(self):
@@ -170,7 +197,7 @@ class TestZStatistic:
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         observed = LatticeDistribution(
             n=N, counts=flat(N, {(0, 0): 50, (4, 4): 50}))
-        z = z_statistic(observed, prediction)
+        z = score(observed, prediction).z
         assert z < 0
 
     @given(seed=st.integers(min_value=0, max_value=5000))
@@ -189,8 +216,8 @@ class TestZStatistic:
 
         swapped_pred = MaxentPrediction(n=N, densities=obs.densities(),
                                         mean=mean, s_t=0.0)
-        forward = z_statistic(obs, pred)
-        backward = z_statistic(Swapped(), swapped_pred)
+        forward = score(obs, pred).z
+        backward = deviation_report(Swapped(), swapped_pred, s_e=0.0).z
         assert forward == pytest.approx(-backward, rel=1e-12, abs=1e-15)
 
 
@@ -200,7 +227,7 @@ class TestResiduals:
         rng = random.Random(seed)
         observed = random_counts(rng)
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
-        grid = residual_grid(observed, prediction)
+        grid = score(observed, prediction).per_cell
         assert len(grid) == 25
         assert math.fsum(grid) == pytest.approx(0.0, abs=1e-12)
 
@@ -208,22 +235,73 @@ class TestResiduals:
         # observed minus predicted: surplus cells positive
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         observed = LatticeDistribution(n=N, counts=flat(N, {(2, 2): 10}))
-        grid = residual_grid(observed, prediction)
+        grid = score(observed, prediction).per_cell
         assert grid[CELLS.index((2, 2))] == pytest.approx(1.0 - 0.140625)
         assert grid[CELLS.index((0, 0))] == pytest.approx(-1 / 256)
 
 
+class TestDeviationPass:
+    @settings(max_examples=200, deadline=None)
+    @given(observed=tallies(),
+           mean=st.none() | st.builds(
+               MeanObservation,
+               st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+               st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+    def test_matches_separate_loops_bit_for_bit(self, observed, mean):
+        # against the self-fit (mean None) or a fixed mean; a boundary mean
+        # leaves cells with zero expectation
+        n = observed.n
+        prediction = (fit_prediction(observed) if mean is None
+                      else binomial_prediction(mean, n))
+        # s_e only sets d_te; equal to s_t it never raises
+        report = deviation_report(observed, prediction, prediction.s_t)
+        z = 0.0
+        for (i, j), rho, expected in zip(lattice_cells(n),
+                                         observed.densities(),
+                                         prediction.densities):
+            dist = math.hypot(i / n - prediction.mean.o_p,
+                              j / n - prediction.mean.o_q)
+            z += dist * (expected - rho)
+        residuals = [rho - expected for rho, expected
+                     in zip(observed.densities(), prediction.densities)]
+        assert report.z == z
+        assert report.per_cell == residuals
+
+
+class TestDevianceIdentity:
+    # Against its self-fit, S_t - S_e = G / (4 n M ln 2) with the deviance
+    # G = 2 sum_{O>0} O ln(O / (M E)), so the base-corrected ECT verdict is
+    # the G test against chi-square with (n+1)^2 - 3 freedoms (Jaynes 1982,
+    # Proc. IEEE 70:939; Wilks 1938, Ann. Math. Stat. 9:60).
+    @settings(max_examples=300, deadline=None)
+    @given(observed=tallies())
+    def test_entropy_gap_is_scaled_deviance(self, observed):
+        n, rounds = observed.n, observed.total
+        prediction = fit_prediction(observed)
+        g = 2.0 * math.fsum(
+            o * math.log(o / (rounds * e))
+            for o, e in zip(observed.counts, prediction.densities) if o > 0)
+        report = entropy_report(observed, prediction, base_corrected=True)
+        gap = report.s_t - report.s_e
+        assert abs(gap - g / (4 * n * rounds * math.log(2.0))) <= 1e-12
+        criterion = chi_square_quantile((n + 1) ** 2 - 3, 0.95)
+        if abs(g - criterion) > 1e-9 * criterion:
+            assert report.within_bound == (g <= criterion)
+
+
+def entropy_gap(s_e, s_t):
+    """D_te of a deviation report whose prediction has entropy s_t."""
+    prediction = dataclasses.replace(
+        binomial_prediction(MeanObservation(0.5, 0.5), N), s_t=s_t)
+    return deviation_report(microstate_counts(), prediction, s_e).d_te
+
+
 class TestEntropyDeviation:
     def test_zero_gap(self):
-        assert entropy_deviation(0.9, 0.9) == 0.0
+        assert entropy_gap(0.9, 0.9) == 0.0
 
     def test_two_percent_gap(self):
-        assert entropy_deviation(0.98 * 0.9, 0.9) == pytest.approx(
-            0.02, abs=1e-12)
-
-    def test_degenerate_theory_raised(self):
-        with pytest.raises(DegenerateTheory):
-            entropy_deviation(0.0, 0.0)
+        assert entropy_gap(0.98 * 0.9, 0.9) == pytest.approx(0.02, abs=1e-12)
 
     def test_deviation_report_consistency(self):
         observed = LatticeDistribution(
@@ -236,8 +314,8 @@ class TestEntropyDeviation:
         assert math.fsum(report.per_cell) == pytest.approx(
             0.0, abs=1e-12)
         assert report.z == pytest.approx(
-            z_statistic(observed, binomial_prediction(
-                MeanObservation(*_mean_of(observed)), N)), rel=1e-12)
+            score(observed, binomial_prediction(
+                MeanObservation(*_mean_of(observed)), N)).z, rel=1e-12)
 
     def test_corner_point_mass_against_its_own_fit(self):
         # the only zero-entropy self-fit: the data are the predicted point
