@@ -15,7 +15,7 @@ from .games import (EquilibriumPoint, PayoffMatrix, Treatment, get_treatment,
                     mixed_nash, parse_treatment_config, read_treatment_config,
                     treatment_catalog)
 from .kernels import BACKEND
-from .lattice import (LatticeDistribution, MeanObservation, degeneracy,
+from .lattice import (LatticeDistribution, MeanObservation, degeneracies,
                       lattice_cells, mean_observation, tally)
 from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
                      ect_bound, entropy, entropy_report, lattice_freedoms)
@@ -46,7 +46,7 @@ __all__ = [
     "PayoffMatrix", "PolicySpec", "RangeError", "SchemaError",
     "SessionRecord", "SummaryStats", "TOOL_VERSION", "TTestReport",
     "Treatment", "analyze_session", "binomial_prediction", "canonical_json",
-    "chi_square_gof", "chi_square_quantile", "degeneracy",
+    "chi_square_gof", "chi_square_quantile", "degeneracies",
     "deviation_report", "ect_bound", "entropy", "entropy_report",
     "fit_prediction", "get_treatment", "lattice_cells", "lattice_freedoms",
     "logit_policy",

@@ -20,11 +20,11 @@ from .games import (Treatment, get_treatment, mixed_nash,
 from .kernels import splitmix64_sequence
 from .lattice import MeanObservation
 from .maxent import MaxentPrediction, binomial_prediction, ect_bound
-from .sessionio import (AnalysisReport, analyze_session, canonical_json,
-                        fit_prediction, format_float, read_session_csv,
-                        session_digest, summarize_ensemble, to_obj,
-                        write_lattice_svg, write_session_csv, write_text,
-                        TOOL_VERSION)
+from .sessionio import (ENSEMBLE_CONFIDENCE, AnalysisReport,
+                        analyze_session, canonical_json, fit_prediction,
+                        format_float, read_session_csv, session_digest,
+                        summarize_ensemble, to_obj, write_lattice_svg,
+                        write_session_csv, write_text, TOOL_VERSION)
 from .simulate import (DEFAULT_POPULATION, PolicySpec, logit_policy,
                        mixed_policy, nash_policy, run_ensemble)
 
@@ -216,7 +216,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     treatment_rows = []
     group_lines = [_GROUPS_HEADER]
     all_reports = []
-    print("treatment rows (D_te mean / SE / 99% CI):")
+    print("treatment rows (D_te mean / SE / "
+          f"{ENSEMBLE_CONFIDENCE * 100:g}% CI):")
     for treatment, t_seed in zip(catalog, treatment_seeds):
         eq = mixed_nash(treatment.payoffs)
         records = run_ensemble(treatment, base_seed=t_seed)
@@ -247,14 +248,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         d = summary.d_te
         print(f"  treatment {treatment.id:>2}: groups={summary.sessions:>2}"
               f" D_te={d.mean:+.4f} SE={d.std_error:.4f}"
-              f" CI99=[{d.ci_low:+.4f},{d.ci_high:+.4f}]"
+              f" CI{d.confidence * 100:g}=[{d.ci_low:+.4f},{d.ci_high:+.4f}]"
               f" chi_exceed={summary.chi_exceed_count}")
 
     total = summarize_ensemble(all_reports)
     d = total.d_te
     print(f"  total       : groups={total.sessions}"
           f" D_te={d.mean:+.4f} SE={d.std_error:.4f}"
-          f" CI99=[{d.ci_low:+.4f},{d.ci_high:+.4f}]"
+          f" CI{d.confidence * 100:g}=[{d.ci_low:+.4f},{d.ci_high:+.4f}]"
           f" chi_exceed={total.chi_exceed_count}")
 
     summary_obj = {"version": TOOL_VERSION, "seed": args.seed,

@@ -10,6 +10,7 @@ back).
 
 from __future__ import annotations
 
+import operator
 import os
 
 from ._purecore import _splitmix64
@@ -37,7 +38,30 @@ else:
         from . import _purecore as _impl  # type: ignore[no-redef]
         BACKEND = "python"
 
-simulate_session = _impl.simulate_session
+# how many entries of `probs` each policy mode reads; an unknown mode is
+# left to the kernel's own error
+_PROBS_PER_MODE = {MODE_IID: 2, MODE_LOGIT: 6}
+
+
+def simulate_session(n: int, rounds: int, mode: int, probs, seed: int,
+                     matching: int = 0, record: bool = False):
+    """Run one session on the active backend; the contract is
+    _purecore.simulate_session's.
+
+    The arguments are checked here, alike for both backends: n and rounds
+    must be integers and probs a sequence of exactly the entries its mode
+    reads.  The compiled kernel reads probs unchecked, so a short table
+    would otherwise read past its end.
+    """
+    n = operator.index(n)
+    rounds = operator.index(rounds)
+    probs = tuple(probs)
+    wanted = _PROBS_PER_MODE.get(mode, len(probs))
+    if len(probs) != wanted:
+        raise ValueError(f"policy mode {mode} takes {wanted} probabilities, "
+                         f"got {len(probs)}")
+    return _impl.simulate_session(n, rounds, mode, probs, seed, matching,
+                                  record)
 
 
 def splitmix64_sequence(seed: int, count: int) -> list[int]:

@@ -38,15 +38,15 @@ class MeanObservation:
                              "outside the unit square")
 
 
-def degeneracy(n: int, i: int, j: int) -> int:
-    """Number of individual action profiles mapping to state (i, j): C(n,i)*C(n,j).
+def degeneracies(n: int) -> list[int]:
+    """Row-major D_ij = C(n,i)*C(n,j), indexed by i*(n+1)+j: the number of
+    individual action profiles mapping to state (i, j).
 
-    Exact integer arithmetic; the degeneracies over the whole lattice sum
-    to 2^(2n).
+    Exact integer arithmetic; the entries sum to 2^(2n).
     """
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise OutOfRange(f"({i}, {j}) outside lattice for n={n}")
-    return math.comb(n, i) * math.comb(n, j)
+    check_population(n)
+    row = [math.comb(n, k) for k in range(n + 1)]
+    return [a * b for a in row for b in row]
 
 
 def lattice_cells(n: int) -> Iterator[tuple[int, int]]:
@@ -64,7 +64,7 @@ class LatticeDistribution:
     """Observation counts over the lattice with their total round count.
 
     `counts` is the row-major flat vector indexed by i*(n+1)+j, the layout
-    the kernels return; every per-cell quantity uses it.
+    the kernels return; `densities` holds c/total in that layout, built once.
     """
 
     def __init__(self, n: int, counts: Sequence[int]):
@@ -83,15 +83,7 @@ class LatticeDistribution:
         self.n = n
         self.counts = counts
         self.total = total
-
-    def count(self, i: int, j: int) -> int:
-        if not (0 <= i <= self.n and 0 <= j <= self.n):
-            raise OutOfRange(f"({i}, {j}) outside lattice for n={self.n}")
-        return self.counts[i * (self.n + 1) + j]
-
-    def densities(self) -> list[float]:
-        """Row-major density vector."""
-        return [c / self.total for c in self.counts]
+        self.densities = [c / total for c in counts]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LatticeDistribution)
@@ -125,9 +117,8 @@ def mean_observation(dist: LatticeDistribution) -> MeanObservation:
     o_p = 0.0
     o_q = 0.0
     n = dist.n
-    for (i, j), c in zip(lattice_cells(n), dist.counts):
-        if c:
-            rho = c / dist.total
+    for (i, j), rho in zip(lattice_cells(n), dist.densities):
+        if rho:
             o_p += rho * (i / n)
             o_q += rho * (j / n)
     return MeanObservation(o_p=min(o_p, 1.0), o_q=min(o_q, 1.0))

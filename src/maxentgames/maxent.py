@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InvalidConfidence, NotNormalized, OutOfRange
 from .lattice import (LatticeDistribution, MeanObservation,
-                      check_population, degeneracy, lattice_cells)
+                      check_population, degeneracies, lattice_cells)
 from .special import chi_square_quantile
 
 _NORMALIZATION_TOL = 1e-9
@@ -64,11 +64,11 @@ def entropy(densities: Sequence[float], n: int) -> float:
     if abs(total - 1.0) > _NORMALIZATION_TOL:
         raise NotNormalized(f"densities sum to {total!r}, expected 1")
     terms = []
-    for (i, j), rho in zip(lattice_cells(n), densities):
+    for (i, j), rho, d in zip(lattice_cells(n), densities, degeneracies(n)):
         if rho < 0.0:
             raise NotNormalized(f"negative density at ({i}, {j})")
         if rho > 0.0:
-            d = float(degeneracy(n, i, j))
+            d = float(d)
             ratio = d / rho
             # ratio form keeps the uniform-microstate case exact (every
             # ratio is a power of two); the difference form only guards
@@ -89,9 +89,9 @@ def binomial_prediction(mean: MeanObservation, n: int) -> MaxentPrediction:
     """
     check_population(n)
     p, q = mean.o_p, mean.o_q
-    densities = [degeneracy(n, i, j) * p ** i * (1.0 - p) ** (n - i)
+    densities = [d * p ** i * (1.0 - p) ** (n - i)
                  * q ** j * (1.0 - q) ** (n - j)
-                 for (i, j) in lattice_cells(n)]
+                 for (i, j), d in zip(lattice_cells(n), degeneracies(n))]
     s_t = entropy(densities, n)
     return MaxentPrediction(n=n, densities=densities, mean=mean, s_t=s_t)
 
@@ -136,7 +136,7 @@ def entropy_report(observed: LatticeDistribution,
     distribution's round count).
     """
     n = observed.n
-    s_e = entropy(observed.densities(), n)
+    s_e = entropy(observed.densities, n)
     s_t = prediction.s_t
     m = observed.total if sample_size is None else sample_size
     bound = ect_bound(m, lattice_freedoms(n), confidence,

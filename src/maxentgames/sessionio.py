@@ -447,7 +447,7 @@ def render_lattice_svg(observed: LatticeDistribution,
                  '</text>')
 
     for (i, j), count, rho, pred in zip(lattice_cells(n), observed.counts,
-                                        observed.densities(),
+                                        observed.densities,
                                         prediction.densities):
         cx, cy = x_at(i), y_at(j)
         # one neutral marker per social state, occupied or not

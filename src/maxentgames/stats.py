@@ -149,7 +149,7 @@ def deviation_report(observed: LatticeDistribution,
     n = observed.n
     z = 0.0
     per_cell = []
-    for (i, j), rho, expected in zip(lattice_cells(n), observed.densities(),
+    for (i, j), rho, expected in zip(lattice_cells(n), observed.densities,
                                      prediction.densities):
         z += math.hypot(i / n - mean.o_p, j / n - mean.o_q) * (expected - rho)
         per_cell.append(rho - expected)

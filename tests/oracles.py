@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from maxentgames import (MeanObservation, degeneracy, fit_prediction,
+from maxentgames import (MeanObservation, degeneracies, fit_prediction,
                          lattice_cells, session_digest)
 
 _DUAL_TOLERANCE = 1e-12
@@ -187,8 +187,8 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
         raise ArithmeticError(
             f"dual solver residual {err:.3e} after {max_iterations} iterations")
     try:
-        weights = [degeneracy(n, i, j) * math.exp(theta[0] * i + theta[1] * j)
-                   for (i, j) in lattice_cells(n)]
+        weights = [d * math.exp(theta[0] * i + theta[1] * j)
+                   for (i, j), d in zip(lattice_cells(n), degeneracies(n))]
         z = math.fsum(weights)
     except OverflowError:
         z = math.inf

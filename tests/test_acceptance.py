@@ -19,12 +19,11 @@ from maxentgames import (
     binomial_prediction,
     chi_square_gof,
     chi_square_quantile,
-    degeneracy,
+    degeneracies,
     ect_bound,
     entropy_report,
     fit_prediction,
     get_treatment,
-    lattice_cells,
     logit_policy,
     mixed_nash,
     mixed_policy,
@@ -239,8 +238,9 @@ def test_criterion_10_end_to_end_determinism(tmp_path, capsys):
 
 
 def test_criterion_11_degeneracy_facts():
-    single = degeneracy(4, 1, 3)
-    total = sum(degeneracy(4, i, j) for (i, j) in lattice_cells(4))
+    d = degeneracies(4)
+    single = d[1 * 5 + 3]
+    total = sum(d)
     ok = single == 16 and total == 256
     _verdict(11, "degeneracy(4,1,3) = 16 and total profile count = 256", ok,
              f"got {single}, {total}")

@@ -148,6 +148,51 @@ class TestKernelBehavior:
         assert counts[4 * 5 + 0] == 10
 
 
+# malformed calls: a short probability table in each mode, a long one, a
+# list for a tuple, and a float for an integer argument
+MALFORMED_CALLS = """
+import maxentgames.kernels as k
+calls = [
+    (4, 10, k.MODE_LOGIT, (0.5, 0.5), 1),
+    (4, 10, k.MODE_IID, (0.5,), 1),
+    (4, 10, k.MODE_IID, (0.5, 0.5, 0.5), 1),
+    (4, 10, k.MODE_IID, [0.5, 0.5], 1),
+    (4.7, 10, k.MODE_IID, (0.5, 0.5), 1),
+    (4, 10.0, k.MODE_IID, (0.5, 0.5), 1),
+]
+for args in calls:
+    try:
+        print("ok", k.simulate_session(*args)[0])
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+class TestCheckedEntryPoint:
+    """`kernels.simulate_session` checks its arguments before either kernel
+    sees them, so a malformed call gives the same result or the same error
+    on both.  Each backend runs in its own process: the compiled kernel
+    reads the probability table unchecked, and a crash there must fail
+    this test rather than end the test run."""
+
+    @pytest.mark.parametrize("backend", [
+        "python", pytest.param("c", marks=needs_fastcore)])
+    def test_malformed_calls_fail_alike(self, backend):
+        env = dict(os.environ, MAXENTGAMES_BACKEND=backend)
+        proc = subprocess.run([sys.executable, "-c", MALFORMED_CALLS],
+                              capture_output=True, text=True, env=env)
+        counts, _ = _purecore.simulate_session(4, 10, 0, (0.5, 0.5), 1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "ValueError policy mode 1 takes 6 probabilities, got 2",
+            "ValueError policy mode 0 takes 2 probabilities, got 1",
+            "ValueError policy mode 0 takes 2 probabilities, got 3",
+            f"ok {counts}",
+            "TypeError 'float' object cannot be interpreted as an integer",
+            "TypeError 'float' object cannot be interpreted as an integer",
+        ]
+
+
 class TestBackendOverride:
     def _run(self, env_value):
         env = dict(os.environ)

@@ -10,7 +10,7 @@ from maxentgames import (
     LatticeDistribution,
     MeanObservation,
     OutOfRange,
-    degeneracy,
+    degeneracies,
     lattice_cells,
     mean_observation,
     tally,
@@ -22,35 +22,36 @@ from oracles import flat, profile_count
 class TestDegeneracy:
     def test_known_value(self):
         # C(4,1)*C(4,3) = 4*4
-        assert degeneracy(4, 1, 3) == 16
+        assert degeneracies(4)[1 * 5 + 3] == 16
 
     def test_total_is_all_profiles(self):
-        assert sum(degeneracy(4, i, j) for i, j in lattice_cells(4)) == 256
+        assert sum(degeneracies(4)) == 256
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_total_any_population(self, n):
-        total = sum(degeneracy(n, i, j) for i, j in lattice_cells(n))
-        assert total == 2 ** (2 * n)
+        assert sum(degeneracies(n)) == 2 ** (2 * n)
 
-    @given(n=st.integers(min_value=1, max_value=8),
-           data=st.data())
-    def test_reflection_symmetry(self, n, data):
-        i = data.draw(st.integers(min_value=0, max_value=n))
-        j = data.draw(st.integers(min_value=0, max_value=n))
-        assert degeneracy(n, i, j) == degeneracy(n, n - i, n - j)
+    def test_total_at_population_limit(self):
+        # exact integers all the way to the largest population allowed
+        assert sum(degeneracies(516)) == 4 ** 516
+
+    @pytest.mark.parametrize("n", [0, 517])
+    def test_population_outside_limits_rejected(self, n):
+        with pytest.raises(OutOfRange):
+            degeneracies(n)
+
+    @given(n=st.integers(min_value=1, max_value=8))
+    def test_reflection_symmetry(self, n):
+        # cell (i, j) and cell (n-i, n-j) sit at mirrored flat indices
+        d = degeneracies(n)
+        assert d == d[::-1]
 
     @given(n=st.integers(min_value=1, max_value=5),
            data=st.data())
     def test_matches_profile_enumeration(self, n, data):
         i = data.draw(st.integers(min_value=0, max_value=n))
         j = data.draw(st.integers(min_value=0, max_value=n))
-        assert degeneracy(n, i, j) == profile_count(n, i, j)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            degeneracy(4, 5, 0)
-        with pytest.raises(OutOfRange):
-            degeneracy(4, 0, -1)
+        assert degeneracies(n)[i * (n + 1) + j] == profile_count(n, i, j)
 
 
 class TestLatticeCells:
@@ -70,7 +71,7 @@ class TestSocialState:
 
     def test_corner_states_allowed(self):
         dist = tally([(0, 0), (4, 4)], n=4)
-        assert dist.count(0, 0) == dist.count(4, 4) == 1
+        assert dist.counts == flat(4, {(0, 0): 1, (4, 4): 1})
 
     @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (5, 0), (0, 5)])
     def test_rejects_outside_lattice(self, i, j):
@@ -96,13 +97,13 @@ class TestDistribution:
     def test_density_and_count(self):
         dist = LatticeDistribution(n=4, counts=flat(4, {(0, 0): 3, (2, 2): 1}))
         assert dist.total == 4
-        assert dist.count(0, 0) == 3
-        assert dist.count(1, 1) == 0
-        assert dist.count(2, 2) / dist.total == 0.25
+        assert dist.counts[0] == 3
+        assert dist.counts[1 * 5 + 1] == 0
+        assert dist.densities[2 * 5 + 2] == 0.25
 
     def test_densities_cover_full_grid(self):
         dist = LatticeDistribution(n=4, counts=flat(4, {(1, 1): 5}))
-        dens = dist.densities()
+        dens = dist.densities
         assert len(dens) == 25
         assert math.fsum(dens) == pytest.approx(1.0, abs=1e-15)
 
@@ -121,8 +122,6 @@ class TestDistribution:
     def test_cell_outside_lattice_rejected(self):
         with pytest.raises(OutOfRange):
             LatticeDistribution(n=4, counts=flat(4, {}) + [1])
-        with pytest.raises(OutOfRange):
-            LatticeDistribution(n=4, counts=flat(4, {(0, 0): 1})).count(0, 5)
 
     def test_equality(self):
         a = LatticeDistribution(n=4, counts=flat(4, {(1, 2): 2}))
@@ -136,8 +135,7 @@ class TestTally:
     def test_counts_rounds(self):
         dist = tally([(1, 2), (1, 2), (4, 0)], n=4)
         assert dist.total == 3
-        assert dist.count(1, 2) == 2
-        assert dist.count(4, 0) == 1
+        assert dist.counts == flat(4, {(1, 2): 2, (4, 0): 1})
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySession):

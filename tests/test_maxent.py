@@ -13,13 +13,14 @@ from maxentgames import (
     NotNormalized,
     OutOfRange,
     binomial_prediction,
-    degeneracy,
+    degeneracies,
     ect_bound,
     entropy,
     entropy_report,
     fit_prediction,
     lattice_cells,
     lattice_freedoms,
+    mean_observation,
 )
 
 from oracles import dual_maxent_solve, flat, microstate_entropy
@@ -30,7 +31,7 @@ CELLS = list(lattice_cells(N))
 
 def uniform_microstate_density(n):
     total = 2 ** (2 * n)
-    return [degeneracy(n, i, j) / total for (i, j) in lattice_cells(n)]
+    return [d / total for d in degeneracies(n)]
 
 
 def random_density(rng, n):
@@ -290,3 +291,54 @@ class TestDualSolver:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "residual" in messages[0]
+
+
+def per_cell_entropy(densities, n):
+    """The entropy with D_ij spelled C(n,i)*C(n,j) cell by cell."""
+    terms = []
+    for (i, j), rho in zip(lattice_cells(n), densities):
+        if rho > 0.0:
+            d = float(math.comb(n, i) * math.comb(n, j))
+            ratio = d / rho
+            if math.isinf(ratio):
+                terms.append(rho * (math.log2(d) - math.log2(rho)))
+            else:
+                terms.append(rho * math.log2(ratio))
+    return math.fsum(terms) / (2 * n)
+
+
+class TestPerCellFormulas:
+    """The flat-vector fit, entropies and mean equal, bit for bit, the
+    per-cell formulas they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=8), data=st.data(),
+           p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_equal_to_per_cell_formulas(self, n, data, p, q):
+        counts = data.draw(st.lists(
+            st.sampled_from([0]) | st.integers(0, 400),
+            min_size=(n + 1) ** 2, max_size=(n + 1) ** 2).filter(any))
+        observed = LatticeDistribution(n=n, counts=counts)
+        prediction = binomial_prediction(MeanObservation(p, q), n)
+
+        densities = [math.comb(n, i) * math.comb(n, j)
+                     * p ** i * (1.0 - p) ** (n - i)
+                     * q ** j * (1.0 - q) ** (n - j)
+                     for (i, j) in lattice_cells(n)]
+        assert prediction.densities == densities
+        assert prediction.s_t == per_cell_entropy(densities, n)
+
+        total = sum(counts)
+        rhos = [c / total for c in counts]
+        assert observed.densities == rhos
+        s_e = entropy_report(observed, prediction).s_e
+        assert s_e == per_cell_entropy(rhos, n)
+
+        o_p = o_q = 0.0
+        for (i, j), c in zip(lattice_cells(n), counts):
+            if c:
+                o_p += c / total * (i / n)
+                o_q += c / total * (j / n)
+        assert mean_observation(observed) == MeanObservation(
+            min(o_p, 1.0), min(o_q, 1.0))

@@ -124,7 +124,7 @@ class TestSessionRecord:
                                policy_id="iid_mixed(p=0.5,q=0.5)")
         assert len(record.rounds) == 3
         dist = record.distribution()
-        assert dist.count(1, 2) == 2 and dist.count(0, 4) == 1
+        assert dist.counts[1 * 5 + 2] == 2 and dist.counts[0 * 5 + 4] == 1
         assert parse_policy(record.policy_id) == mixed_policy(0.5, 0.5)
 
     def test_rejects_empty(self):
@@ -232,7 +232,7 @@ class TestSamplingDistribution:
         dist = run_session(get_treatment(1), policy, rounds=100_000,
                            seed=7).distribution()
         prediction = binomial_prediction(MeanObservation(0.3, 0.6), 4)
-        gap = max(abs(d - e) for d, e in zip(dist.densities(),
+        gap = max(abs(d - e) for d, e in zip(dist.densities,
                                              prediction.densities))
         assert gap <= 0.02
 

@@ -19,7 +19,7 @@ from maxentgames import (
     binomial_prediction,
     chi_square_gof,
     chi_square_quantile,
-    degeneracy,
+    degeneracies,
     deviation_report,
     entropy,
     entropy_report,
@@ -38,14 +38,13 @@ CELLS = list(lattice_cells(N))
 def microstate_counts():
     # 256 rounds hitting every state exactly at its degeneracy weight:
     # a perfect sample of the balanced binomial product
-    return LatticeDistribution(
-        n=N, counts=[degeneracy(N, *cell) for cell in CELLS])
+    return LatticeDistribution(n=N, counts=degeneracies(N))
 
 
 def score(observed, prediction):
     """The deviation report with the observed entropy as s_e."""
     return deviation_report(observed, prediction,
-                            entropy(observed.densities(), observed.n))
+                            entropy(observed.densities, observed.n))
 
 
 @st.composite
@@ -139,8 +138,7 @@ class TestChiSquare:
         observed = random_counts(rng)
         prediction = binomial_prediction(MeanObservation(0.5, 0.5), N)
         expected_counts = [observed.total * d for d in prediction.densities]
-        observed_counts = [observed.count(*c) for c in CELLS]
-        oracle = scipy.stats.chisquare(observed_counts, expected_counts,
+        oracle = scipy.stats.chisquare(observed.counts, expected_counts,
                                        ddof=2, sum_check=False)
         report = chi_square_gof(observed, prediction)
         assert report.statistic == pytest.approx(oracle.statistic, rel=1e-12)
@@ -153,7 +151,7 @@ class TestChiSquare:
         rng = random.Random(seed)
         observed = random_counts(rng, total=200)
         flipped = LatticeDistribution(
-            n=N, counts=[observed.count(j, i) for (i, j) in CELLS])
+            n=N, counts=[observed.counts[j * (N + 1) + i] for (i, j) in CELLS])
         mean = mean_pq = MeanObservation(0.3, 0.8)
         swapped = MeanObservation(mean_pq.o_q, mean_pq.o_p)
         a = chi_square_gof(observed, binomial_prediction(mean, N)).statistic
@@ -210,11 +208,9 @@ class TestZStatistic:
 
         class Swapped:
             n = N
+            densities = pred.densities
 
-            def densities(self):
-                return pred.densities
-
-        swapped_pred = MaxentPrediction(n=N, densities=obs.densities(),
+        swapped_pred = MaxentPrediction(n=N, densities=obs.densities,
                                         mean=mean, s_t=0.0)
         forward = score(obs, pred).z
         backward = deviation_report(Swapped(), swapped_pred, s_e=0.0).z
@@ -257,13 +253,13 @@ class TestDeviationPass:
         report = deviation_report(observed, prediction, prediction.s_t)
         z = 0.0
         for (i, j), rho, expected in zip(lattice_cells(n),
-                                         observed.densities(),
+                                         observed.densities,
                                          prediction.densities):
             dist = math.hypot(i / n - prediction.mean.o_p,
                               j / n - prediction.mean.o_q)
             z += dist * (expected - rho)
         residuals = [rho - expected for rho, expected
-                     in zip(observed.densities(), prediction.densities)]
+                     in zip(observed.densities, prediction.densities)]
         assert report.z == z
         assert report.per_cell == residuals
 
@@ -307,7 +303,7 @@ class TestEntropyDeviation:
         observed = LatticeDistribution(
             n=N, counts=flat(N, {(1, 3): 150, (2, 2): 30, (1, 2): 20}))
         report = deviation_report(observed, fit_prediction(observed),
-                                  entropy(observed.densities(), N))
+                                  entropy(observed.densities, N))
         assert report.d_te == pytest.approx(
             1.0 - report.s_e / report.s_t, abs=1e-15)
         assert report.d_te > 0  # observed is more concentrated
@@ -324,7 +320,7 @@ class TestEntropyDeviation:
         prediction = fit_prediction(observed)
         assert prediction.s_t == 0.0
         report = deviation_report(observed, prediction,
-                                  entropy(observed.densities(), N))
+                                  entropy(observed.densities, N))
         assert report.d_te == 0.0
         assert report.z == 0.0
         assert report.per_cell == [0.0] * len(CELLS)
@@ -335,7 +331,7 @@ class TestEntropyDeviation:
             n=N, counts=flat(N, {(4, 0): 150, (3, 1): 50}))
         with pytest.raises(DegenerateTheory):
             deviation_report(observed, prediction,
-                             entropy(observed.densities(), N))
+                             entropy(observed.densities, N))
 
 
 def _mean_of(dist):
