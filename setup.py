@@ -1,17 +1,12 @@
-"""Build script: compiles the fast simulation kernel when a toolchain is available.
+"""Build script: compiles the fast simulation kernel when a C compiler is available.
 
-The compiled extension is optional.  If Cython or a C compiler is missing the
+The compiled extension is optional.  If no C compiler is available the
 package installs anyway and falls back to the pure-Python kernel at import
 time (see maxentgames.kernels).
 """
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
 
 
 class optional_build_ext(build_ext):
@@ -35,17 +30,13 @@ class optional_build_ext(build_ext):
               "installing with the pure-Python kernel only.")
 
 
-ext_modules = []
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "maxentgames._fastcore",
-                ["src/maxentgames/_fastcore.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[
+        Extension(
+            "maxentgames._fastcore",
+            ["src/maxentgames/_fastcore.c"],
+            extra_compile_args=["-O3"],
+        )
+    ],
+    cmdclass={"build_ext": optional_build_ext},
+)

@@ -1,7 +1,7 @@
 """Pure-Python session kernel.
 
 Reference implementation of the round loop; the compiled twin in
-_fastcore.pyx follows this file statement for statement and must produce
+_fastcore.c follows this file statement for statement and must produce
 bit-identical output.  Keep the two in sync when touching either.
 
 RNG protocol (fixed, portable, no platform dependence):
@@ -12,9 +12,10 @@ RNG protocol (fixed, portable, no platform dependence):
 * uniforms are (next() >> 11) * 2^-53, giving doubles in [0, 1).
 * a Bernoulli(prob) draw is `u < prob`; an integer below k is int(u * k).
 * every round consumes exactly 2n action uniforms (X agents in index order,
-  then Y agents), then, under uniform matching only, n-1 matching uniforms
-  for a Fisher-Yates shuffle.  Round-robin matching consumes none, which is
-  what keeps action draws identical across matching schemes.
+  then Y agents), then, under logit play with uniform matching only, n-1
+  matching uniforms for a Fisher-Yates shuffle.  The two streams are
+  separate, so the action draws are identical across matching schemes, and
+  i.i.d. play, which reads no history, skips the matching altogether.
 """
 
 from __future__ import annotations
@@ -81,14 +82,15 @@ def simulate_session(n: int, rounds: int, mode: int, probs: tuple[float, ...],
     action = words[:4]
     match = words[4:]
 
-    if mode == 0:
-        p, q = probs
-        px_init = px1 = px0 = p
-        py_init = py1 = py0 = q
-    elif mode == 1:
-        px_init, px1, px0, py_init, py1, py0 = probs
-    else:
+    if mode != 0 and mode != 1:
         raise ValueError(f"unknown policy mode {mode}")
+    wanted = 2 if mode == 0 else 6
+    if len(probs) != wanted:
+        raise ValueError(f"policy mode {mode} takes {wanted} probabilities, "
+                         f"got {len(probs)}")
+    if mode == 0:
+        probs = (probs[0],) * 3 + (probs[1],) * 3
+    px_init, px1, px0, py_init, py1, py0 = probs
 
     size = n + 1
     counts = [0] * (size * size)
@@ -117,21 +119,22 @@ def simulate_session(n: int, rounds: int, mode: int, probs: tuple[float, ...],
             y_actions[m] = a
             j += a
 
-        if matching == 0:
+        # i.i.d. play never reads seen_*, so it draws no matching
+        if mode == 1:
+            if matching == 0:
+                for m in range(n):
+                    perm[m] = m
+                for m in range(n - 1, 0, -1):
+                    u = (_next(match) >> 11) * _DOUBLE_UNIT
+                    k = int(u * (m + 1))
+                    perm[m], perm[k] = perm[k], perm[m]
+            else:
+                for m in range(n):
+                    perm[m] = (m + r) % n
             for m in range(n):
-                perm[m] = m
-            for m in range(n - 1, 0, -1):
-                u = (_next(match) >> 11) * _DOUBLE_UNIT
-                k = int(u * (m + 1))
-                perm[m], perm[k] = perm[k], perm[m]
-        else:
-            for m in range(n):
-                perm[m] = (m + r) % n
-
-        for m in range(n):
-            partner = perm[m]
-            seen_y[m] = y_actions[partner]
-            seen_x[partner] = x_actions[m]
+                partner = perm[m]
+                seen_y[m] = y_actions[partner]
+                seen_x[partner] = x_actions[m]
 
         counts[i * size + j] += 1
         if trajectory is not None:

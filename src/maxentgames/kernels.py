@@ -38,30 +38,20 @@ else:
         from . import _purecore as _impl  # type: ignore[no-redef]
         BACKEND = "python"
 
-# how many entries of `probs` each policy mode reads; an unknown mode is
-# left to the kernel's own error
-_PROBS_PER_MODE = {MODE_IID: 2, MODE_LOGIT: 6}
-
-
 def simulate_session(n: int, rounds: int, mode: int, probs, seed: int,
                      matching: int = 0, record: bool = False):
     """Run one session on the active backend; the contract is
     _purecore.simulate_session's.
 
-    The arguments are checked here, alike for both backends: n and rounds
-    must be integers and probs a sequence of exactly the entries its mode
-    reads.  The compiled kernel reads probs unchecked, so a short table
-    would otherwise read past its end.
+    n and rounds must be integers and probs any sequence; it is passed on
+    as a tuple, which is what the compiled kernel takes.  Each kernel checks
+    that probs holds exactly the entries its mode reads, with the same
+    error.
     """
     n = operator.index(n)
     rounds = operator.index(rounds)
-    probs = tuple(probs)
-    wanted = _PROBS_PER_MODE.get(mode, len(probs))
-    if len(probs) != wanted:
-        raise ValueError(f"policy mode {mode} takes {wanted} probabilities, "
-                         f"got {len(probs)}")
-    return _impl.simulate_session(n, rounds, mode, probs, seed, matching,
-                                  record)
+    return _impl.simulate_session(n, rounds, mode, tuple(probs), seed,
+                                  matching, record)
 
 
 def splitmix64_sequence(seed: int, count: int) -> list[int]:

@@ -1,8 +1,9 @@
 """Golden output bytes of the paper-facing commands.
 
 Pins the sha256 of what `reproduce --seed 42`, `analyze` over that tree
-(with --json and --svg), `predict 0.3 0.8` and a history-dependent
-logit `simulate` under each matching scheme write, so a refactor cannot
+(with --json and --svg), `predict 0.3 0.8`, a history-dependent
+logit `simulate` under each matching scheme, and the benchmark's long
+logit `simulate` write, so a refactor cannot
 silently move a number, a per-cell residual or an SVG pixel.  The digests
 are the same on the pure-Python and the compiled kernel.
 
@@ -56,6 +57,13 @@ SIMULATE_LOGIT = {
                          "897c7bf895f6425e53cb7d6b49c61681"),
     },
 }
+
+# the benchmark's simulate_long workload: simulate --treatment 1 --policy
+# logit --intensity 0.5 --population 8 --rounds 2400 --groups 12 --seed 42;
+# the same digest as pipebench/run.py's, pinned here so the pure kernel's
+# bytes are checked when the benchmark runs the compiled one
+SIMULATE_LONG_MANIFEST = ("404ff2c228ea4092a517f7fa2a19651f"
+                          "ce3c84ad42b1ddaa3570ea4e92167ac8")
 
 
 def sha256(data: bytes) -> str:
@@ -143,3 +151,11 @@ class TestSimulate:
                      "--matching", matching, "--out", str(out)]) == 0
         assert {rel: sha256((out / rel).read_bytes())
                 for rel in tree_files(out)} == SIMULATE_LOGIT[matching]
+
+    def test_benchmark_long_logit_manifest(self, tmp_path):
+        assert main(["simulate", "--treatment", "1", "--policy", "logit",
+                     "--intensity", "0.5", "--population", "8",
+                     "--rounds", "2400", "--groups", "12", "--seed", "42",
+                     "--out", str(tmp_path)]) == 0
+        assert sha256((tmp_path / "manifest.json").read_bytes()) \
+            == SIMULATE_LONG_MANIFEST

