@@ -21,26 +21,25 @@ except ImportError:
     _fastcore = None
 
 # treatment-1 Nash probabilities and a mid-strength logit table
-IID_PROBS = (1 / 11, 10 / 11)
+IID_PROBS = (1 / 11,) * 3 + (10 / 11,) * 3
 LOGIT_PROBS = (0.5, 0.9999546021312976, 4.5397868702434395e-05,
                0.5, 0.5, 0.8807970779778823)
 
 WORKLOADS = (
-    ("iid/uniform", 0, IID_PROBS, 0),
-    ("logit/uniform", 1, LOGIT_PROBS, 0),
-    ("logit/round_robin", 1, LOGIT_PROBS, 1),
+    ("iid/uniform", IID_PROBS, False),
+    ("logit/uniform", LOGIT_PROBS, False),
+    ("logit/round_robin", LOGIT_PROBS, True),
 )
 
 
-def run(impl, rounds: int, repeat: int, mode: int, probs, matching: int):
+def run(impl, rounds: int, repeat: int, probs, round_robin: bool):
     best = float("inf")
-    counts = None
+    states = None
     for _ in range(repeat):
         start = time.perf_counter()
-        counts, _ = impl.simulate_session(4, rounds, mode, probs, 12345,
-                                          matching, False)
+        states = impl.simulate_session(4, rounds, probs, 12345, round_robin)
         best = min(best, time.perf_counter() - start)
-    return counts, best
+    return states, best
 
 
 def main() -> None:
@@ -55,16 +54,16 @@ def main() -> None:
     header = f"{'workload':<20} {'python':>12} {'c':>12} {'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for name, mode, probs, matching in WORKLOADS:
-        py_counts, py_time = run(_purecore, args.rounds, args.repeat,
-                                 mode, probs, matching)
+    for name, probs, round_robin in WORKLOADS:
+        py_states, py_time = run(_purecore, args.rounds, args.repeat,
+                                 probs, round_robin)
         py_rate = args.rounds / py_time
         if _fastcore is None:
             print(f"{name:<20} {py_rate:>10.0f}/s {'-':>12} {'-':>9}")
             continue
-        c_counts, c_time = run(_fastcore, args.rounds, args.repeat,
-                               mode, probs, matching)
-        if c_counts != py_counts:
+        c_states, c_time = run(_fastcore, args.rounds, args.repeat,
+                               probs, round_robin)
+        if c_states != py_states:
             raise SystemExit(f"backend mismatch on {name}: kernels disagree")
         c_rate = args.rounds / c_time
         print(f"{name:<20} {py_rate:>10.0f}/s {c_rate:>10.0f}/s "

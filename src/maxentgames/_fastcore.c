@@ -13,7 +13,7 @@
 #include <Python.h>
 #include <stdint.h>
 
-#define MAX_POP 64 /* the counts live in a fixed-size C array */
+#define MAX_POP 64 /* the per-agent arrays are fixed-size C arrays */
 
 static const double DOUBLE_UNIT = 1.0 / 9007199254740992.0; /* 2^-53 */
 
@@ -57,13 +57,14 @@ uniform(uint64_t *s)
 static PyObject *
 simulate_session(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "rounds", "mode", "probs", "seed",
-                             "matching", "record", NULL};
-    int n, rounds, mode, matching = 0, record = 0;
+    static char *kwlist[] = {"n", "rounds", "probs", "seed", "round_robin",
+                             NULL};
+    int n, rounds, round_robin = 0;
     PyObject *probs, *seed;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiO!O|ip:simulate_session",
-                                     kwlist, &n, &rounds, &mode, &PyTuple_Type,
-                                     &probs, &seed, &matching, &record))
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiO!O|p:simulate_session",
+                                     kwlist, &n, &rounds, &PyTuple_Type,
+                                     &probs, &seed, &round_robin))
         return NULL;
 
     if (n < 1) {
@@ -90,32 +91,27 @@ simulate_session(PyObject *self, PyObject *args, PyObject *kwargs)
     for (int w = 0; w < 4; w++)
         match[w] = splitmix64(&state);
 
-    if (mode != 0 && mode != 1) {
-        PyErr_Format(PyExc_ValueError, "unknown policy mode %d", mode);
-        return NULL;
-    }
-    Py_ssize_t wanted = mode == 0 ? 2 : 6;
-    if (PyTuple_GET_SIZE(probs) != wanted) {
+    if (PyTuple_GET_SIZE(probs) != 6) {
         PyErr_Format(PyExc_ValueError,
-                     "policy mode %d takes %zd probabilities, got %zd",
-                     mode, wanted, PyTuple_GET_SIZE(probs));
+                     "the probability table takes 6 entries, got %zd",
+                     PyTuple_GET_SIZE(probs));
         return NULL;
     }
-    /* (px_init, px1, px0, py_init, py1, py0); mode 0 spreads (p, q) */
+    /* (px_init, px1, px0, py_init, py1, py0) */
     double table[6];
     for (int w = 0; w < 6; w++) {
-        table[w] = PyFloat_AsDouble(
-            PyTuple_GET_ITEM(probs, mode == 0 ? w / 3 : w));
+        table[w] = PyFloat_AsDouble(PyTuple_GET_ITEM(probs, w));
         if (table[w] == -1.0 && PyErr_Occurred())
             return NULL;
     }
     double px_init = table[0], px1 = table[1], px0 = table[2];
     double py_init = table[3], py1 = table[4], py0 = table[5];
+    /* a table that reads no history draws no matching */
+    int matched = !(px_init == px1 && px1 == px0
+                    && py_init == py1 && py1 == py0);
 
-    int size = n + 1;
-    int64_t counts[(MAX_POP + 1) * (MAX_POP + 1)] = {0};
-    PyObject *trajectory = NULL;
-    if (record && (trajectory = PyList_New(rounds)) == NULL)
+    PyObject *states = PyList_New(rounds);
+    if (states == NULL)
         return NULL;
 
     int seen_y[MAX_POP], seen_x[MAX_POP]; /* last opponent action seen */
@@ -143,9 +139,12 @@ simulate_session(PyObject *self, PyObject *args, PyObject *kwargs)
             j += a;
         }
 
-        /* i.i.d. play never reads seen_*, so it draws no matching */
-        if (mode == 1) {
-            if (matching == 0) {
+        if (matched) {
+            if (round_robin) {
+                for (int m = 0; m < n; m++)
+                    perm[m] = (m + r % n) % n; /* (m + r) % n, no overflow */
+            }
+            else {
                 for (int m = 0; m < n; m++)
                     perm[m] = m;
                 for (int m = n - 1; m > 0; m--) {
@@ -156,10 +155,6 @@ simulate_session(PyObject *self, PyObject *args, PyObject *kwargs)
                     perm[k] = tmp;
                 }
             }
-            else {
-                for (int m = 0; m < n; m++)
-                    perm[m] = (m + r % n) % n; /* (m + r) % n, no overflow */
-            }
             for (int m = 0; m < n; m++) {
                 int partner = perm[m];
                 seen_y[m] = y_actions[partner];
@@ -167,36 +162,20 @@ simulate_session(PyObject *self, PyObject *args, PyObject *kwargs)
             }
         }
 
-        counts[i * size + j] += 1;
-        if (trajectory != NULL) {
-            PyObject *cell = Py_BuildValue("(ii)", i, j);
-            if (cell == NULL) {
-                Py_DECREF(trajectory);
-                return NULL;
-            }
-            PyList_SET_ITEM(trajectory, r, cell);
+        PyObject *cell = Py_BuildValue("(ii)", i, j);
+        if (cell == NULL) {
+            Py_DECREF(states);
+            return NULL;
         }
+        PyList_SET_ITEM(states, r, cell);
     }
-
-    PyObject *tally = PyList_New(size * size);
-    for (int cell = 0; tally != NULL && cell < size * size; cell++) {
-        PyObject *count = PyLong_FromLongLong(counts[cell]);
-        if (count == NULL)
-            Py_CLEAR(tally);
-        else
-            PyList_SET_ITEM(tally, cell, count);
-    }
-    PyObject *result = tally == NULL ? NULL : PyTuple_Pack(
-        2, tally, trajectory != NULL ? trajectory : Py_None);
-    Py_XDECREF(tally);
-    Py_XDECREF(trajectory);
-    return result;
+    return states;
 }
 
 static PyMethodDef fastcore_methods[] = {
     {"simulate_session", (PyCFunction)(void (*)(void))simulate_session,
      METH_VARARGS | METH_KEYWORDS,
-     "simulate_session(n, rounds, mode, probs, seed, matching=0, record=False)\n"
+     "simulate_session(n, rounds, probs, seed, round_robin=False)\n"
      "--\n\n"
      "Compiled twin of _purecore.simulate_session; same contract."},
     {NULL, NULL, 0, NULL}};
@@ -204,7 +183,7 @@ static PyMethodDef fastcore_methods[] = {
 static struct PyModuleDef fastcore_module = {
     PyModuleDef_HEAD_INIT, "_fastcore",
     "Compiled session kernel; the C twin of maxentgames._purecore.", -1,
-    fastcore_methods};
+    fastcore_methods, NULL, NULL, NULL, NULL};
 
 PyMODINIT_FUNC
 PyInit__fastcore(void)

@@ -12,17 +12,18 @@ RNG protocol (fixed, portable, no platform dependence):
 * uniforms are (next() >> 11) * 2^-53, giving doubles in [0, 1).
 * a Bernoulli(prob) draw is `u < prob`; an integer below k is int(u * k).
 * every round consumes exactly 2n action uniforms (X agents in index order,
-  then Y agents), then, under logit play with uniform matching only, n-1
-  matching uniforms for a Fisher-Yates shuffle.  The two streams are
-  separate, so the action draws are identical across matching schemes, and
-  i.i.d. play, which reads no history, skips the matching altogether.
+  then Y agents), then, with uniform matching, n-1 matching uniforms for a
+  Fisher-Yates shuffle.  A table that reads no history (px_init == px1 ==
+  px0 and py_init == py1 == py0) skips the matching altogether.  The two
+  streams are separate, so the action draws are identical across matching
+  schemes and whether or not the matching is drawn.
 """
 
 from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _DOUBLE_UNIT = 2.0 ** -53
-_MAX_POP = 64  # the compiled twin keeps its counts in a fixed-size C array
+_MAX_POP = 64  # the compiled twin's per-agent arrays are fixed-size
 
 
 def _rotl(x: int, k: int) -> int:
@@ -52,20 +53,18 @@ def _next(s: list[int]) -> int:
     return result
 
 
-def simulate_session(n: int, rounds: int, mode: int, probs: tuple[float, ...],
-                     seed: int, matching: int = 0, record: bool = False):
-    """Run one session and tally social states.
+def simulate_session(n: int, rounds: int, probs: tuple[float, ...],
+                     seed: int, round_robin: bool = False):
+    """Run one session and return its per-round social states.
 
-    mode 0: every agent mixes i.i.d.; probs = (p, q).
-    mode 1: logit response to the last matched opponent's action;
-            probs = (px_init, px1, px0, py_init, py1, py0) where px1 is the
-            X-side probability of action 1 after seeing a 1, and the _init
-            entries apply before any history exists.
-    matching 0 draws a fresh uniform matching each round, 1 rotates
-    round-robin (X agent m meets Y agent (m + r) mod n).
+    probs = (px_init, px1, px0, py_init, py1, py0): px1 is the X-side
+    probability of action 1 after its last matched opponent played 1, px0
+    the same after a 0, and the _init entries apply before any history
+    exists; i.i.d. play at (p, q) is (p, p, p, q, q, q).  The matching is a
+    fresh uniform one each round, or with round_robin X agent m meets Y
+    agent (m + r) mod n in round r.
 
-    Returns (counts, trajectory): counts is a row-major (n+1)^2 list indexed
-    by i*(n+1)+j, trajectory a per-round list of (i, j) or None.
+    Returns the list of (i, j) states, one per round.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
@@ -82,19 +81,14 @@ def simulate_session(n: int, rounds: int, mode: int, probs: tuple[float, ...],
     action = words[:4]
     match = words[4:]
 
-    if mode != 0 and mode != 1:
-        raise ValueError(f"unknown policy mode {mode}")
-    wanted = 2 if mode == 0 else 6
-    if len(probs) != wanted:
-        raise ValueError(f"policy mode {mode} takes {wanted} probabilities, "
-                         f"got {len(probs)}")
-    if mode == 0:
-        probs = (probs[0],) * 3 + (probs[1],) * 3
+    if len(probs) != 6:
+        raise ValueError(
+            f"the probability table takes 6 entries, got {len(probs)}")
     px_init, px1, px0, py_init, py1, py0 = probs
+    # a table that reads no history draws no matching
+    matched = not (px_init == px1 == px0 and py_init == py1 == py0)
 
-    size = n + 1
-    counts = [0] * (size * size)
-    trajectory: list[tuple[int, int]] | None = [] if record else None
+    states: list[tuple[int, int]] = []
     seen_y = [-1] * n  # last opponent action seen by each X agent
     seen_x = [-1] * n  # last opponent action seen by each Y agent
     x_actions = [0] * n
@@ -119,25 +113,22 @@ def simulate_session(n: int, rounds: int, mode: int, probs: tuple[float, ...],
             y_actions[m] = a
             j += a
 
-        # i.i.d. play never reads seen_*, so it draws no matching
-        if mode == 1:
-            if matching == 0:
+        if matched:
+            if round_robin:
+                for m in range(n):
+                    perm[m] = (m + r) % n
+            else:
                 for m in range(n):
                     perm[m] = m
                 for m in range(n - 1, 0, -1):
                     u = (_next(match) >> 11) * _DOUBLE_UNIT
                     k = int(u * (m + 1))
                     perm[m], perm[k] = perm[k], perm[m]
-            else:
-                for m in range(n):
-                    perm[m] = (m + r) % n
             for m in range(n):
                 partner = perm[m]
                 seen_y[m] = y_actions[partner]
                 seen_x[partner] = x_actions[m]
 
-        counts[i * size + j] += 1
-        if trajectory is not None:
-            trajectory.append((i, j))
+        states.append((i, j))
 
-    return counts, trajectory
+    return states

@@ -15,11 +15,6 @@ import os
 
 from ._purecore import _splitmix64
 
-MODE_IID = 0
-MODE_LOGIT = 1
-MATCHING_UNIFORM = 0
-MATCHING_ROUND_ROBIN = 1
-
 _requested = os.environ.get("MAXENTGAMES_BACKEND", "").strip().lower()
 if _requested not in ("", "c", "python"):
     raise ImportError(
@@ -38,20 +33,18 @@ else:
         from . import _purecore as _impl  # type: ignore[no-redef]
         BACKEND = "python"
 
-def simulate_session(n: int, rounds: int, mode: int, probs, seed: int,
-                     matching: int = 0, record: bool = False):
+def simulate_session(n: int, rounds: int, probs, seed: int,
+                     round_robin: bool = False) -> list[tuple[int, int]]:
     """Run one session on the active backend; the contract is
     _purecore.simulate_session's.
 
     n and rounds must be integers and probs any sequence; it is passed on
     as a tuple, which is what the compiled kernel takes.  Each kernel checks
-    that probs holds exactly the entries its mode reads, with the same
-    error.
+    that probs holds exactly 6 entries, with the same error.
     """
     n = operator.index(n)
     rounds = operator.index(rounds)
-    return _impl.simulate_session(n, rounds, mode, tuple(probs), seed,
-                                  matching, record)
+    return _impl.simulate_session(n, rounds, tuple(probs), seed, round_robin)
 
 
 def splitmix64_sequence(seed: int, count: int) -> list[int]:

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 from .errors import (EmptySession, InvalidProbability, InvalidRounds,
                      ParseError)
 from .games import PayoffMatrix, Treatment, mixed_nash
-from .kernels import (MATCHING_ROUND_ROBIN, MATCHING_UNIFORM, MODE_IID,
-                      MODE_LOGIT, simulate_session, splitmix64_sequence)
+from .kernels import simulate_session, splitmix64_sequence
 from .lattice import LatticeDistribution, tally
 
 DEFAULT_POPULATION = 4
-
-_MATCHING_SCHEMES = {
-    "uniform": MATCHING_UNIFORM,
-    "round_robin": MATCHING_ROUND_ROBIN,
-}
 
 
 def sigmoid(x: float) -> float:
@@ -115,24 +109,25 @@ def parse_policy(label: str) -> PolicySpec:
 
 
 def kernel_parameters(policy: PolicySpec,
-                      payoffs: PayoffMatrix) -> tuple[int, tuple[float, ...]]:
-    """Translate a policy into the kernel's (mode, probability table).
+                      payoffs: PayoffMatrix) -> tuple[float, ...]:
+    """Translate a policy into the kernel's probability table
+    (px_init, px1, px0, py_init, py1, py0).
 
+    i.i.d. play at (p, q) reads no history: its table is (p, p, p, q, q, q).
     Logit response probabilities are precomputed here so the kernel stays
     free of transcendental calls: px1 = sigmoid(lambda * (a11 - a21)) is
     X's chance of action 1 after seeing the opponent play 1, px0 the same
     after seeing 0, and symmetrically for Y with the b payoffs.
     """
     if policy.kind == "iid_mixed":
-        return MODE_IID, (policy.p, policy.q)
+        return (policy.p,) * 3 + (policy.q,) * 3
     if policy.kind == "logit_response":
         lam = policy.intensity
         px1 = sigmoid(lam * (payoffs.a11 - payoffs.a21))
         px0 = sigmoid(lam * (payoffs.a12 - payoffs.a22))
         py1 = sigmoid(lam * (payoffs.b11 - payoffs.b12))
         py0 = sigmoid(lam * (payoffs.b21 - payoffs.b22))
-        return MODE_LOGIT, (policy.init_p, px1, px0,
-                            policy.init_q, py1, py0)
+        return policy.init_p, px1, px0, policy.init_q, py1, py0
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
@@ -177,14 +172,14 @@ def run_session(treatment: Treatment, policy: PolicySpec | None = None,
         rounds = treatment.rounds_per_group
     if rounds < 1:
         raise InvalidRounds(f"rounds must be >= 1, got {rounds}")
-    mode, probs = kernel_parameters(policy, treatment.payoffs)
-    if matching not in _MATCHING_SCHEMES:
-        raise ValueError("matching must be one of "
-                         f"{sorted(_MATCHING_SCHEMES)}, got {matching!r}")
-    _, trajectory = simulate_session(n, rounds, mode, probs, seed,
-                                     _MATCHING_SCHEMES[matching], True)
+    probs = kernel_parameters(policy, treatment.payoffs)
+    if matching not in ("round_robin", "uniform"):
+        raise ValueError("matching must be one of ['round_robin', 'uniform'], "
+                         f"got {matching!r}")
+    states = simulate_session(n, rounds, probs, seed,
+                              matching == "round_robin")
     return SessionRecord(treatment_id=treatment.id, seed=seed, n=n,
-                         rounds=tuple(trajectory), policy_id=policy.label())
+                         rounds=tuple(states), policy_id=policy.label())
 
 
 def run_ensemble(treatment: Treatment, policy: PolicySpec | None = None,

@@ -14,6 +14,7 @@ import pytest
 from maxentgames import BACKEND
 from maxentgames import _purecore
 from maxentgames.kernels import simulate_session, splitmix64_sequence
+from maxentgames.lattice import tally
 
 try:
     from maxentgames import _fastcore
@@ -24,14 +25,20 @@ except ImportError:
 # the pure kernel and run whether or not the extension is built
 needs_fastcore = pytest.mark.skipif(_fastcore is None,
                                     reason="compiled kernel not built")
+KERNELS = [pytest.param(_purecore, id="python"),
+           pytest.param(_fastcore, marks=needs_fastcore, id="c")]
 
 SEEDS = [0, 1, 42, (1 << 63) + 12345]
-IID = (1 / 11, 10 / 11)
+# i.i.d. play at game 1's equilibrium: a table that reads no history
+IID = (1 / 11,) * 3 + (10 / 11,) * 3
 # logit response with real state dependence on both sides
 LOGIT = (0.5, 0.9, 0.2, 0.4, 0.7, 0.3)
+# ids "<reads history>-probs<row>-<round robin>"
 WORKLOADS = [
-    (0, IID, 0), (0, IID, 1),
-    (1, LOGIT, 0), (1, LOGIT, 1),
+    pytest.param(IID, False, id="0-probs0-0"),
+    pytest.param(IID, True, id="0-probs1-1"),
+    pytest.param(LOGIT, False, id="1-probs2-0"),
+    pytest.param(LOGIT, True, id="1-probs3-1"),
 ]
 
 
@@ -55,49 +62,49 @@ class TestSplitmix:
 class TestBackendParity:
     @needs_fastcore
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("mode,probs,matching", WORKLOADS)
-    def test_bit_identical_counts_and_trajectory(self, seed, mode, probs,
-                                                 matching):
-        py = _purecore.simulate_session(4, 100, mode, probs, seed,
-                                        matching, True)
-        cc = _fastcore.simulate_session(4, 100, mode, probs, seed,
-                                        matching, True)
-        assert list(py[0]) == list(cc[0])
-        assert [tuple(s) for s in py[1]] == [tuple(s) for s in cc[1]]
+    @pytest.mark.parametrize("probs,round_robin", WORKLOADS)
+    def test_bit_identical_counts_and_trajectory(self, seed, probs,
+                                                 round_robin):
+        # the round sequence is the whole output; the counts are its tally
+        assert (_fastcore.simulate_session(4, 100, probs, seed, round_robin)
+                == _purecore.simulate_session(4, 100, probs, seed,
+                                              round_robin))
 
     @needs_fastcore
     def test_larger_population(self):
-        py = _purecore.simulate_session(7, 60, 1, LOGIT, 9, 0, True)
-        cc = _fastcore.simulate_session(7, 60, 1, LOGIT, 9, 0, True)
-        assert list(py[0]) == list(cc[0])
-        assert py[1] == [tuple(s) for s in cc[1]]
+        assert (_fastcore.simulate_session(7, 60, LOGIT, 9)
+                == _purecore.simulate_session(7, 60, LOGIT, 9))
 
     @needs_fastcore
     def test_population_limit_message(self):
         errors = []
         for impl in (_purecore, _fastcore):
             with pytest.raises(ValueError) as info:
-                impl.simulate_session(65, 10, 0, IID, 0, 0, False)
+                impl.simulate_session(65, 10, IID, 0)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
     @needs_fastcore
     def test_random_calls_bit_identical(self):
-        # short sessions over every population class, both modes and
-        # matchings, record on and off, edge probabilities (0, 1, as int and
-        # float) and seeds that need reducing mod 2^64
+        # short sessions over every population class, tables that read
+        # history and (a quarter of them) tables that do not, both
+        # matchings with round_robin given as any value (it is read by
+        # truth value), edge probabilities (0, 1, as int and float) and
+        # seeds that need reducing mod 2^64
         rng = random.Random(23)
         edge_probs = (0, 1, 0.0, 1.0)
         edge_seeds = (-1, -(1 << 70) - 3, 0, (1 << 64) - 1, 1 << 64,
                       (1 << 64) + 7, 3 << 80)
+        round_robins = (False, True, 0, 1, 2 ** 40, -1)
         for _ in range(600):
-            mode = rng.randint(0, 1)
             probs = tuple(rng.choice(edge_probs) if rng.random() < 0.25
-                          else rng.random() for _ in range(6 if mode else 2))
+                          else rng.random() for _ in range(6))
+            if rng.random() < 0.25:
+                probs = (probs[0],) * 3 + (probs[3],) * 3
             seed = (rng.choice(edge_seeds) if rng.random() < 0.5
                     else rng.randint(-(1 << 80), 1 << 80))
             args = (rng.choice((1, 2, 3, 4, 8, 17, 64)), rng.randint(1, 12),
-                    mode, probs, seed, rng.randint(0, 1), rng.random() < 0.5)
+                    probs, seed, rng.choice(round_robins))
             assert (_fastcore.simulate_session(*args)
                     == _purecore.simulate_session(*args)), args
 
@@ -107,81 +114,91 @@ class TestBackendParity:
 
 class TestKernelBehavior:
     def test_deterministic(self):
-        a = simulate_session(4, 200, 0, IID, 7, 0, True)
-        b = simulate_session(4, 200, 0, IID, 7, 0, True)
-        assert list(a[0]) == list(b[0]) and a[1] == b[1]
+        assert simulate_session(4, 200, IID, 7) == simulate_session(4, 200,
+                                                                    IID, 7)
 
     def test_population_limit(self):
         with pytest.raises(ValueError, match="up to 64"):
-            _purecore.simulate_session(65, 10, 0, IID, 0, 0, False)
-        counts, _ = _purecore.simulate_session(64, 10, 0, IID, 0, 0, False)
-        assert len(counts) == 65 * 65 and sum(counts) == 10
+            _purecore.simulate_session(65, 10, IID, 0)
+        states = _purecore.simulate_session(64, 10, IID, 0)
+        assert sum(tally(states, 64).counts) == 10
 
     def test_counts_sum_to_rounds(self):
-        counts, _ = simulate_session(4, 321, 1, LOGIT, 3, 0, False)
-        assert sum(counts) == 321
-
-    def test_no_record_returns_none_trajectory(self):
-        counts, traj = simulate_session(4, 10, 0, IID, 0, 0, False)
-        assert traj is None
-        assert len(counts) == 25
+        states = simulate_session(4, 321, LOGIT, 3)
+        assert sum(tally(states, 4).counts) == 321
 
     def test_trajectory_tallies_to_counts(self):
-        counts, traj = simulate_session(4, 500, 1, LOGIT, 11, 1, True)
-        assert len(traj) == 500
-        tallied = [0] * 25
-        for (i, j) in traj:
-            assert 0 <= i <= 4 and 0 <= j <= 4
-            tallied[i * 5 + j] += 1
-        assert tallied == list(counts)
+        # tally rejects a state off the lattice
+        traj = simulate_session(4, 500, LOGIT, 11, True)
+        assert sum(tally(traj, 4).counts) == 500
 
     def test_flat_logit_equals_balanced_iid(self):
-        # a response curve pinned at 0.5 everywhere consumes the action
-        # stream identically to iid coin flips, so outputs match draw for draw
-        flat = (0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+        # X's half of both tables is pinned at 0.5, as balanced iid coin
+        # flips are, but only the second table draws a matching (its Y half
+        # reads history); the matching has its own stream, so X's counts
+        # agree draw for draw
+        balanced = (0.5,) * 6
+        y_reads_history = (0.5, 0.5, 0.5, 0.5, 0.9, 0.1)
         for seed in SEEDS:
-            a = simulate_session(4, 150, 1, flat, seed, 0, True)
-            b = simulate_session(4, 150, 0, (0.5, 0.5), seed, 0, True)
-            assert list(a[0]) == list(b[0]) and a[1] == b[1]
+            a = simulate_session(4, 150, balanced, seed)
+            b = simulate_session(4, 150, y_reads_history, seed)
+            assert [i for i, _ in a] == [i for i, _ in b]
+            assert a != b
+
+    @pytest.mark.parametrize("round_robin", [False, True])
+    @pytest.mark.parametrize("impl", KERNELS)
+    def test_history_free_only_when_all_three_entries_agree(self, impl,
+                                                             round_robin):
+        # px1 == px0 and py1 == py0, but round 0 plays the _init entries,
+        # and every later round plays 1 only because the matching showed
+        # each agent a 0 and then a 1
+        n, rounds = 4, 12
+        assert (impl.simulate_session(n, rounds, (0, 1, 1, 0, 1, 1), 5,
+                                      round_robin)
+                == [(0, 0)] + [(n, n)] * (rounds - 1))
+
+    @pytest.mark.parametrize("impl", KERNELS)
+    def test_round_robin_read_by_truth_value(self, impl):
+        uniform = impl.simulate_session(4, 100, LOGIT, 5)
+        rr = impl.simulate_session(4, 100, LOGIT, 5, True)
+        assert uniform != rr
+        assert impl.simulate_session(4, 100, LOGIT, 5, 0) == uniform
+        for value in (1, 2 ** 40, -1):
+            assert impl.simulate_session(4, 100, LOGIT, 5, value) == rr
 
     def test_iid_ignores_matching_scheme(self):
-        # action draws never read the matching stream in iid mode
+        # a table that reads no history never draws the matching
         for seed in SEEDS:
-            uni = simulate_session(4, 150, 0, IID, seed, 0, True)
-            rr = simulate_session(4, 150, 0, IID, seed, 1, True)
-            assert list(uni[0]) == list(rr[0]) and uni[1] == rr[1]
+            assert (simulate_session(4, 150, IID, seed, False)
+                    == simulate_session(4, 150, IID, seed, True))
 
     def test_logit_depends_on_matching_scheme(self):
-        uni = simulate_session(4, 300, 1, LOGIT, 5, 0, False)
-        rr = simulate_session(4, 300, 1, LOGIT, 5, 1, False)
-        assert list(uni[0]) != list(rr[0])
+        assert (simulate_session(4, 300, LOGIT, 5, False)
+                != simulate_session(4, 300, LOGIT, 5, True))
 
     def test_seed_changes_output(self):
-        a = simulate_session(4, 100, 0, IID, 0, 0, False)
-        b = simulate_session(4, 100, 0, IID, 1, 0, False)
-        assert list(a[0]) != list(b[0])
+        assert simulate_session(4, 100, IID, 0) != simulate_session(4, 100,
+                                                                    IID, 1)
 
     def test_degenerate_probabilities(self):
-        counts, traj = simulate_session(4, 10, 0, (1.0, 0.0), 0, 0, True)
-        assert traj == [(4, 0)] * 10
-        assert counts[4 * 5 + 0] == 10
+        assert (simulate_session(4, 10, (1.0,) * 3 + (0.0,) * 3, 0)
+                == [(4, 0)] * 10)
 
 
-# malformed calls: a short probability table in each mode, a long one, a
-# list for a tuple, and a float for an integer argument
+# malformed calls: a short probability table, a long one, a list for a
+# tuple, and a float for an integer argument
 MALFORMED_CALLS = """
 import maxentgames.kernels as k
 calls = [
-    (4, 10, k.MODE_LOGIT, (0.5, 0.5), 1),
-    (4, 10, k.MODE_IID, (0.5,), 1),
-    (4, 10, k.MODE_IID, (0.5, 0.5, 0.5), 1),
-    (4, 10, k.MODE_IID, [0.5, 0.5], 1),
-    (4.7, 10, k.MODE_IID, (0.5, 0.5), 1),
-    (4, 10.0, k.MODE_IID, (0.5, 0.5), 1),
+    (4, 10, (0.5, 0.5), 1),
+    (4, 10, (0.5,) * 7, 1),
+    (4, 10, [0.5] * 6, 1),
+    (4.7, 10, (0.5,) * 6, 1),
+    (4, 10.0, (0.5,) * 6, 1),
 ]
 for args in calls:
     try:
-        print("ok", k.simulate_session(*args)[0])
+        print("ok", k.simulate_session(*args))
     except Exception as exc:
         print(type(exc).__name__, exc)
 """
@@ -190,10 +207,9 @@ for args in calls:
 # malformed direct kernel calls, bypassing kernels.simulate_session
 DIRECT_CALLS = """
 from maxentgames import {module} as impl
-for mode, probs in ((1, (0.5, 0.5)), (0, (0.5,)), (0, (0.5, 0.5, 0.5)),
-                    (2, (0.5, 0.5))):
+for probs in ((0.5, 0.5), (0.5,), (0.5,) * 7, ()):
     try:
-        print("ok", impl.simulate_session(4, 10, mode, probs, 1)[0])
+        print("ok", impl.simulate_session(4, 10, probs, 1))
     except Exception as exc:
         print(type(exc).__name__, exc)
 """
@@ -211,13 +227,12 @@ class TestCheckedEntryPoint:
         env = dict(os.environ, MAXENTGAMES_BACKEND=backend)
         proc = subprocess.run([sys.executable, "-c", MALFORMED_CALLS],
                               capture_output=True, text=True, env=env)
-        counts, _ = _purecore.simulate_session(4, 10, 0, (0.5, 0.5), 1)
+        states = _purecore.simulate_session(4, 10, (0.5,) * 6, 1)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
-            "ValueError policy mode 1 takes 6 probabilities, got 2",
-            "ValueError policy mode 0 takes 2 probabilities, got 1",
-            "ValueError policy mode 0 takes 2 probabilities, got 3",
-            f"ok {counts}",
+            "ValueError the probability table takes 6 entries, got 2",
+            "ValueError the probability table takes 6 entries, got 7",
+            f"ok {states}",
             "TypeError 'float' object cannot be interpreted as an integer",
             "TypeError 'float' object cannot be interpreted as an integer",
         ]
@@ -230,16 +245,16 @@ class TestCheckedEntryPoint:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
-            "ValueError policy mode 1 takes 6 probabilities, got 2",
-            "ValueError policy mode 0 takes 2 probabilities, got 1",
-            "ValueError policy mode 0 takes 2 probabilities, got 3",
-            "ValueError unknown policy mode 2",
+            "ValueError the probability table takes 6 entries, got 2",
+            "ValueError the probability table takes 6 entries, got 1",
+            "ValueError the probability table takes 6 entries, got 7",
+            "ValueError the probability table takes 6 entries, got 0",
         ]
 
     @needs_fastcore
     def test_compiled_kernel_takes_only_a_tuple(self):
         with pytest.raises(TypeError):
-            _fastcore.simulate_session(4, 10, 0, [0.5, 0.5], 1)
+            _fastcore.simulate_session(4, 10, [0.5] * 6, 1)
 
 
 class TestBackendOverride:

@@ -76,22 +76,20 @@ class TestPolicySpec:
 
 class TestKernelParameters:
     def test_iid_passthrough(self):
-        mode, probs = kernel_parameters(mixed_policy(0.2, 0.9), None)
-        assert mode == 0
-        assert probs == (0.2, 0.9)
+        # i.i.d. play reads no history: each side's three entries agree
+        probs = kernel_parameters(mixed_policy(0.2, 0.9), None)
+        assert probs == (0.2, 0.2, 0.2, 0.9, 0.9, 0.9)
 
     def test_zero_intensity_is_uniform_random(self):
         payoffs = get_treatment(1).payoffs
-        mode, probs = kernel_parameters(logit_policy(0.0), payoffs)
-        assert mode == 1
+        probs = kernel_parameters(logit_policy(0.0), payoffs)
         assert probs == (0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
 
     def test_logit_response_values_treatment_one(self):
         # game 1: a11-a21 = 1, a12-a22 = -10, b11-b12 = -10, b21-b22 = 1
         payoffs = get_treatment(1).payoffs
         lam = 2.0
-        mode, probs = kernel_parameters(logit_policy(lam), payoffs)
-        assert mode == 1
+        probs = kernel_parameters(logit_policy(lam), payoffs)
         assert probs[0] == 0.5 and probs[3] == 0.5
         assert probs[1] == pytest.approx(sigmoid(lam * 1))
         assert probs[2] == pytest.approx(sigmoid(lam * -10))
@@ -100,7 +98,7 @@ class TestKernelParameters:
 
     def test_large_intensity_approaches_best_response(self):
         payoffs = get_treatment(1).payoffs
-        _, probs = kernel_parameters(logit_policy(50.0), payoffs)
+        probs = kernel_parameters(logit_policy(50.0), payoffs)
         assert probs[1] == pytest.approx(1.0, abs=1e-12)
         assert probs[2] == pytest.approx(0.0, abs=1e-12)
 
