@@ -7,10 +7,8 @@ chi-square goodness of fit, and distance-weighted deviation statistics.
 """
 
 from .errors import (DegenerateGame, DegenerateTheory, DuplicateId,
-                     EmptySession, InsufficientData, InvalidConfidence,
-                     InvalidProbability, InvalidRounds, MaxentGamesError,
-                     NoInteriorEquilibrium, NotNormalized, OutOfRange,
-                     ParseError, RangeError, SchemaError)
+                     MaxentGamesError, NoInteriorEquilibrium, ParseError,
+                     RangeError, SchemaError)
 from .games import (EquilibriumPoint, PayoffMatrix, Treatment, get_treatment,
                     mixed_nash, parse_treatment_config, read_treatment_config,
                     treatment_catalog)
@@ -37,12 +35,10 @@ __version__ = TOOL_VERSION
 __all__ = [
     "AnalysisReport", "BACKEND", "ChiSquareReport",
     "DEFAULT_POPULATION", "DegenerateGame", "DegenerateTheory",
-    "DeviationReport", "DuplicateId", "EmptySession", "EnsembleSummary",
-    "EntropyReport", "EquilibriumPoint", "InsufficientData",
-    "InvalidConfidence", "InvalidProbability", "InvalidRounds",
+    "DeviationReport", "DuplicateId", "EnsembleSummary",
+    "EntropyReport", "EquilibriumPoint",
     "LatticeDistribution", "MaxentGamesError", "MaxentPrediction",
-    "MeanObservation", "NoInteriorEquilibrium", "NotNormalized",
-    "OutOfRange", "ParseError",
+    "MeanObservation", "NoInteriorEquilibrium", "ParseError",
     "PayoffMatrix", "PolicySpec", "RangeError", "SchemaError",
     "SessionRecord", "SummaryStats", "TOOL_VERSION", "TTestReport",
     "Treatment", "analyze_session", "binomial_prediction", "canonical_json",

@@ -6,11 +6,13 @@
  * operations as the Python twin (the 2^-53 scaling, `u < prob` and
  * `(int)(u * (m + 1))`), so equality across the backends is exact.
  * simulate_session checks every argument it reads, so a malformed direct
- * call raises rather than reading past the probability table.
+ * call raises rather than reading past the probability table, and a bad
+ * n, rounds or seed raises the same error as in the Python twin.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 
 #define MAX_POP 64 /* the per-agent arrays are fixed-size C arrays */
@@ -54,32 +56,60 @@ uniform(uint64_t *s)
     return (double)(next(s) >> 11) * DOUBLE_UNIT;
 }
 
+/* "O&" converter: any Python integer (via __index__) as a long long,
+ * clamped to that type's range, so the range checks below see every value
+ * and none raises OverflowError */
+static int
+as_clamped_count(PyObject *obj, void *out)
+{
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL)
+        return 0;
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (value == -1 && PyErr_Occurred())
+        return 0;
+    if (overflow)
+        value = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    *(long long *)out = value;
+    return 1;
+}
+
 static PyObject *
 simulate_session(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "rounds", "probs", "seed", "round_robin",
                              NULL};
-    int n, rounds, round_robin = 0;
+    long long n_arg, rounds_arg;
+    int round_robin = 0;
     PyObject *probs, *seed;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiO!O|p:simulate_session",
-                                     kwlist, &n, &rounds, &PyTuple_Type,
-                                     &probs, &seed, &round_robin))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O&O&O!O|p:simulate_session",
+                                     kwlist, as_clamped_count, &n_arg,
+                                     as_clamped_count, &rounds_arg,
+                                     &PyTuple_Type, &probs, &seed,
+                                     &round_robin))
         return NULL;
 
-    if (n < 1) {
+    if (n_arg < 1) {
         PyErr_SetString(PyExc_ValueError, "population size must be >= 1");
         return NULL;
     }
-    if (n > MAX_POP) {
+    if (n_arg > MAX_POP) {
         PyErr_Format(PyExc_ValueError,
                      "compiled kernel supports populations up to %d", MAX_POP);
         return NULL;
     }
-    if (rounds < 1) {
+    if (rounds_arg < 1) {
         PyErr_SetString(PyExc_ValueError, "rounds must be >= 1");
         return NULL;
     }
+    if (rounds_arg > INT_MAX) {
+        PyErr_Format(PyExc_ValueError, "rounds must be at most %d", INT_MAX);
+        return NULL;
+    }
+    int n = (int)n_arg, rounds = (int)rounds_arg; /* both checked above */
 
     /* any Python int, reduced mod 2^64 */
     uint64_t state = PyLong_AsUnsignedLongLongMask(seed);

@@ -21,9 +21,12 @@ RNG protocol (fixed, portable, no platform dependence):
 
 from __future__ import annotations
 
+import operator
+
 _MASK = (1 << 64) - 1
 _DOUBLE_UNIT = 2.0 ** -53
 _MAX_POP = 64  # the compiled twin's per-agent arrays are fixed-size
+_MAX_ROUNDS = 2**31 - 1  # the compiled twin counts rounds in a C int
 
 
 def _rotl(x: int, k: int) -> int:
@@ -64,16 +67,21 @@ def simulate_session(n: int, rounds: int, probs: tuple[float, ...],
     fresh uniform one each round, or with round_robin X agent m meets Y
     agent (m + r) mod n in round r.
 
-    Returns the list of (i, j) states, one per round.
+    n, rounds and seed may be any integers (objects with __index__); the
+    seed is read mod 2^64.  Returns the list of (i, j) states, one per round.
     """
+    n = operator.index(n)
+    rounds = operator.index(rounds)
     if n < 1:
         raise ValueError("population size must be >= 1")
     if n > _MAX_POP:
         raise ValueError(f"compiled kernel supports populations up to {_MAX_POP}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if rounds > _MAX_ROUNDS:
+        raise ValueError(f"rounds must be at most {_MAX_ROUNDS}")
 
-    state = seed & _MASK
+    state = operator.index(seed) & _MASK
     words = []
     for _ in range(8):
         state, out = _splitmix64(state)

@@ -14,7 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import MaxentGamesError
 from .games import (Treatment, get_treatment, mixed_nash,
                     read_treatment_config, treatment_catalog)
 from .kernels import splitmix64_sequence
@@ -52,7 +51,7 @@ def _build_policy(args: argparse.Namespace,
     if args.policy == "iid":
         return mixed_policy(args.p, args.q)
     if args.intensity is None:
-        raise MaxentGamesError("--policy logit requires --intensity")
+        raise ValueError("--policy logit requires --intensity")
     return logit_policy(args.intensity, args.init_p, args.init_q)
 
 
@@ -60,13 +59,13 @@ def _load_treatment(args: argparse.Namespace) -> Treatment:
     if args.treatments is not None:
         table = {t.id: t for t in read_treatment_config(args.treatments)}
         if args.treatment not in table:
-            raise MaxentGamesError(
+            raise ValueError(
                 f"treatment {args.treatment} not in {args.treatments}")
         return table[args.treatment]
     try:
         return get_treatment(args.treatment)
     except KeyError as exc:
-        raise MaxentGamesError(exc.args[0]) from None
+        raise ValueError(exc.args[0]) from None
 
 
 def _group_name(index: int) -> str:
@@ -344,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MaxentGamesError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

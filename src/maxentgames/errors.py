@@ -1,8 +1,11 @@
 """Exception hierarchy for the package, and how input files report errors.
 
-Input-file errors and domain failures derive from MaxentGamesError; plain
-argument checks in `special`, `maxent.ect_bound`, `lattice`, `games`,
-`kernels` and `simulate` raise ValueError, so the CLI catches both.
+One convention: every bad argument raises ValueError, with a message and
+no class of its own.  MaxentGamesError, itself a ValueError, marks bad
+data: an input file that fails to parse (ParseError and its subclasses,
+which carry the file and line), a game with no interior equilibrium, or a
+prediction with zero entropy.  So catching ValueError catches every error
+the package raises on bad input, which is what the CLI does.
 """
 
 from codecs import BOM_UTF8
@@ -10,8 +13,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 
-class MaxentGamesError(Exception):
-    """Base class for all package errors."""
+class MaxentGamesError(ValueError):
+    """Base class for the package's bad-data errors."""
 
 
 class DegenerateGame(MaxentGamesError):
@@ -22,36 +25,8 @@ class NoInteriorEquilibrium(MaxentGamesError):
     """The indifference solution falls on or outside the probability boundary."""
 
 
-class OutOfRange(MaxentGamesError):
-    """A lattice coordinate lies outside [0, n]."""
-
-
-class EmptySession(MaxentGamesError):
-    """A tally was requested for an empty state sequence."""
-
-
-class NotNormalized(MaxentGamesError):
-    """A density map does not sum to one within tolerance."""
-
-
-class InvalidConfidence(MaxentGamesError):
-    """A confidence level is outside the open interval (0, 1)."""
-
-
-class InvalidProbability(MaxentGamesError):
-    """A probability argument is outside its valid range."""
-
-
 class DegenerateTheory(MaxentGamesError):
     """Theoretical entropy is zero, so relative deviation is undefined."""
-
-
-class InsufficientData(MaxentGamesError):
-    """A statistic needs more samples than were supplied."""
-
-
-class InvalidRounds(MaxentGamesError):
-    """A simulation was requested with a non-positive round count."""
 
 
 class ParseError(MaxentGamesError):

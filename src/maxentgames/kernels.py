@@ -10,7 +10,6 @@ back).
 
 from __future__ import annotations
 
-import operator
 import os
 
 from ._purecore import _splitmix64
@@ -38,12 +37,10 @@ def simulate_session(n: int, rounds: int, probs, seed: int,
     """Run one session on the active backend; the contract is
     _purecore.simulate_session's.
 
-    n and rounds must be integers and probs any sequence; it is passed on
-    as a tuple, which is what the compiled kernel takes.  Each kernel checks
-    that probs holds exactly 6 entries, with the same error.
+    probs may be any sequence; it is passed on as a tuple, which is what
+    the compiled kernel takes.  Each kernel checks every argument, with the
+    same error type and message on both.
     """
-    n = operator.index(n)
-    rounds = operator.index(rounds)
     return _impl.simulate_session(n, rounds, tuple(probs), seed, round_robin)
 
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptySession, OutOfRange
-
 # The largest n whose largest degeneracy C(n, n//2)^2 is a finite double;
 # the fit and entropy convert every degeneracy to float.
 MAX_POPULATION = 516
@@ -22,7 +20,7 @@ def check_population(n: int) -> None:
     """The one rule on population size for tallies, fits and entropies."""
     if not 1 <= n <= MAX_POPULATION:
         limit = "positive" if n < 1 else f"at most {MAX_POPULATION}"
-        raise OutOfRange(f"population size must be {limit}, got {n}")
+        raise ValueError(f"population size must be {limit}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ class LatticeDistribution:
         check_population(n)
         counts = list(counts)
         if len(counts) != (n + 1) ** 2:
-            raise OutOfRange(f"{len(counts)} counts do not cover the "
+            raise ValueError(f"{len(counts)} counts do not cover the "
                              f"{(n + 1) ** 2} cells of the lattice for n={n}")
         for index, c in enumerate(counts):
             if not isinstance(c, int) or c < 0:
@@ -79,7 +77,7 @@ class LatticeDistribution:
                                  "is not a non-negative integer")
         total = sum(counts)
         if total < 1:
-            raise EmptySession("a distribution needs at least one observation")
+            raise ValueError("a distribution needs at least one observation")
         self.n = n
         self.counts = counts
         self.total = total
@@ -107,7 +105,7 @@ def tally(rounds: Iterable[tuple[int, int]], n: int) -> LatticeDistribution:
     counts = [0] * (size * size)
     for (i, j) in rounds:
         if not (0 <= i <= n and 0 <= j <= n):
-            raise OutOfRange(f"state ({i}, {j}) outside lattice for n={n}")
+            raise ValueError(f"state ({i}, {j}) outside lattice for n={n}")
         counts[i * size + j] += 1
     return LatticeDistribution(n=n, counts=counts)
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidConfidence, NotNormalized, OutOfRange
 from .lattice import (LatticeDistribution, MeanObservation,
                       check_population, degeneracies, lattice_cells)
 from .special import chi_square_quantile
@@ -58,15 +57,15 @@ def entropy(densities: Sequence[float], n: int) -> float:
     """
     check_population(n)
     if len(densities) != (n + 1) ** 2:
-        raise OutOfRange(f"{len(densities)} densities do not cover the "
+        raise ValueError(f"{len(densities)} densities do not cover the "
                          f"{(n + 1) ** 2} cells of the lattice for n={n}")
     total = math.fsum(densities)
     if abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise NotNormalized(f"densities sum to {total!r}, expected 1")
+        raise ValueError(f"densities sum to {total!r}, expected 1")
     terms = []
     for (i, j), rho, d in zip(lattice_cells(n), densities, degeneracies(n)):
         if rho < 0.0:
-            raise NotNormalized(f"negative density at ({i}, {j})")
+            raise ValueError(f"negative density at ({i}, {j})")
         if rho > 0.0:
             d = float(d)
             ratio = d / rho
@@ -110,7 +109,7 @@ def ect_bound(sample_size: int, freedoms: int = 22, confidence: float = 0.95,
     if freedoms < 1:
         raise ValueError("freedoms must be >= 1")
     if not 0.0 < confidence < 1.0:
-        raise InvalidConfidence(
+        raise ValueError(
             f"confidence must be in (0, 1), got {confidence}")
     bound = chi_square_quantile(freedoms, confidence) / (2.0 * sample_size)
     if base_bits is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import OutOfRange, ParseError, RangeError, SchemaError, read_input
+from .errors import ParseError, RangeError, SchemaError, read_input
 from .lattice import (LatticeDistribution, check_population, lattice_cells,
                       mean_observation)
 from .maxent import (EntropyReport, MaxentPrediction, binomial_prediction,
@@ -223,7 +223,7 @@ def session_from_csv(text: str) -> SessionRecord:
         n = meta_int("n")
         try:
             check_population(n)
-        except OutOfRange as exc:
+        except ValueError as exc:
             raise RangeError(f"line {meta['n'][1]}: {exc}") from None
         columns = [c.strip() for c in stripped.split(",")]
         if columns == _CSV_HEADER.split(","):

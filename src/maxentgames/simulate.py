@@ -13,8 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import (EmptySession, InvalidProbability, InvalidRounds,
-                     ParseError)
+from .errors import ParseError
 from .games import PayoffMatrix, Treatment, mixed_nash
 from .kernels import simulate_session, splitmix64_sequence
 from .lattice import LatticeDistribution, tally
@@ -32,7 +31,7 @@ def sigmoid(x: float) -> float:
 
 def _check_prob(name: str, value: float) -> float:
     if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-        raise InvalidProbability(f"{name} must be in [0, 1], got {value!r}")
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
 
 
@@ -82,7 +81,7 @@ def logit_policy(intensity: float, init_p: float = 0.5,
     """History-dependent logit response with the given rationality."""
     if not (isinstance(intensity, (int, float)) and intensity >= 0.0
             and math.isfinite(intensity)):
-        raise InvalidProbability(
+        raise ValueError(
             f"intensity must be finite and >= 0, got {intensity!r}")
     return PolicySpec(kind="logit_response", intensity=float(intensity),
                       init_p=_check_prob("init_p", init_p),
@@ -104,7 +103,7 @@ def parse_policy(label: str) -> PolicySpec:
             return mixed_policy(float(m.group(1)), float(m.group(2)))
         return logit_policy(float(m.group(3)), float(m.group(4)),
                             float(m.group(5)))
-    except (InvalidProbability, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -170,8 +169,6 @@ def run_session(treatment: Treatment, policy: PolicySpec | None = None,
         policy = nash_policy(treatment.payoffs)
     if rounds is None:
         rounds = treatment.rounds_per_group
-    if rounds < 1:
-        raise InvalidRounds(f"rounds must be >= 1, got {rounds}")
     probs = kernel_parameters(policy, treatment.payoffs)
     if matching not in ("round_robin", "uniform"):
         raise ValueError("matching must be one of ['round_robin', 'uniform'], "
@@ -195,7 +192,7 @@ def run_ensemble(treatment: Treatment, policy: PolicySpec | None = None,
     if groups is None:
         groups = treatment.groups
     if groups < 1:
-        raise EmptySession(f"groups must be >= 1, got {groups}")
+        raise ValueError(f"groups must be >= 1, got {groups}")
     return [run_session(treatment, policy, rounds, group_seed, n, matching)
             for group_seed in splitmix64_sequence(base_seed, groups)]
 

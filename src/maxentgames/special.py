@@ -20,8 +20,6 @@ import functools
 import math
 from collections.abc import Callable
 
-from .errors import InvalidProbability
-
 _EPS = 1e-15
 _ITMAX = 500
 _LN_SQRT_2PI = 0.9189385332046727  # ln(sqrt(2*pi))
@@ -196,7 +194,7 @@ def chi_square_quantile(freedoms: int, probability: float) -> float:
     if freedoms < 1:
         raise ValueError("freedoms must be >= 1")
     if not 0.0 < probability < 1.0:
-        raise InvalidProbability(
+        raise ValueError(
             f"quantile probability must be in (0, 1), got {probability}")
     return _invert_cdf(lambda x: chi_square_cdf(freedoms, x), probability,
                        float(freedoms))
@@ -227,7 +225,7 @@ def student_t_quantile(freedoms: int, probability: float) -> float:
     if freedoms < 1:
         raise ValueError("freedoms must be >= 1")
     if not 0.0 < probability < 1.0:
-        raise InvalidProbability(
+        raise ValueError(
             f"quantile probability must be in (0, 1), got {probability}")
     if probability == 0.5:
         return 0.0

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateTheory, InsufficientData, InvalidConfidence
+from .errors import DegenerateTheory
 from .lattice import LatticeDistribution, lattice_cells
 from .maxent import MaxentPrediction, lattice_freedoms
 from .special import (chi_square_cdf, chi_square_quantile,
@@ -93,7 +93,7 @@ def chi_square_gof(observed: LatticeDistribution,
     under the prediction).
     """
     if not 0.0 < significance < 1.0:
-        raise InvalidConfidence(
+        raise ValueError(
             f"significance must be in (0, 1), got {significance}")
     total = observed.total
     statistic = 0.0
@@ -164,10 +164,10 @@ def summarize(values: Sequence[float],
     two observations.
     """
     if len(values) < 2:
-        raise InsufficientData(
+        raise ValueError(
             f"summary needs at least 2 values, got {len(values)}")
     if not 0.0 < confidence < 1.0:
-        raise InvalidConfidence(
+        raise ValueError(
             f"confidence must be in (0, 1), got {confidence}")
     count = len(values)
     mean = math.fsum(values) / count

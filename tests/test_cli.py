@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,16 @@ from maxentgames import (
     run_session,
     write_session_csv,
 )
+from maxentgames import errors
 from maxentgames.cli import main
+
+try:
+    from maxentgames import _fastcore
+except ImportError:
+    _fastcore = None
+
+needs_fastcore = pytest.mark.skipif(_fastcore is None,
+                                    reason="compiled kernel not built")
 
 
 def run_cli(*argv):
@@ -320,7 +330,111 @@ class TestUsage:
         capsys.readouterr()
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+
+# each argument error, the arguments after the subcommand and its whole
+# message; "{csv}" stands for a session CSV to analyze
+ARGUMENT_ERRORS = [
+    pytest.param(["simulate", "--policy", "iid", "--p", "1.5"],
+                 "p must be in [0, 1], got 1.5", id="p"),
+    pytest.param(["simulate", "--groups", "0"],
+                 "groups must be >= 1, got 0", id="groups"),
+    pytest.param(["simulate", "--policy", "logit", "--intensity", "-1"],
+                 "intensity must be finite and >= 0, got -1.0",
+                 id="intensity"),
+    pytest.param(["simulate", "--rounds", "0"],
+                 "rounds must be >= 1", id="rounds"),
+    pytest.param(["analyze", "{csv}", "--ect-significance", "1.5"],
+                 "confidence must be in (0, 1), got 1.5", id="ect"),
+    pytest.param(["analyze", "{csv}", "--chi-significance", "0"],
+                 "significance must be in (0, 1), got 0.0", id="chi"),
+]
+
+
+def _limit_memory():
+    """Cap a child's address space at 1 GiB, so a kernel that ran a huge
+    session instead of refusing it fails fast rather than filling memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestErrors:
+    def test_every_package_error_is_a_value_error(self):
+        assert issubclass(maxentgames.MaxentGamesError, ValueError)
+        defined = {name: value for name, value in vars(errors).items()
+                   if isinstance(value, type)
+                   and issubclass(value, BaseException)}
+        assert set(defined) == {
+            "MaxentGamesError", "DegenerateGame", "NoInteriorEquilibrium",
+            "DegenerateTheory", "ParseError", "SchemaError", "RangeError",
+            "DuplicateId"}
+        for cls in defined.values():
+            assert issubclass(cls, maxentgames.MaxentGamesError), cls
+
+    @pytest.mark.parametrize("argv,message", ARGUMENT_ERRORS)
+    def test_argument_error_exits_two(self, tmp_path, capsys, argv, message):
+        command, *rest = argv
+        if command == "simulate":
+            rest = ["--treatment", "1", "--out", str(tmp_path / "x"), *rest]
+        else:
+            csv = simulate_into(tmp_path) / "group_01.csv"
+            capsys.readouterr()
+            rest = [str(csv) if a == "{csv}" else a for a in rest]
+        assert run_cli(command, *rest) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("backend", [
+        "python", pytest.param("c", marks=needs_fastcore)])
+    @pytest.mark.parametrize("flag,message", [
+        ("--rounds", "rounds must be at most 2147483647"),
+        ("--population", "compiled kernel supports populations up to 64")])
+    def test_count_beyond_kernel_limit_exits_two(self, tmp_path, backend,
+                                                 flag, message):
+        env = dict(os.environ, MAXENTGAMES_BACKEND=backend)
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxentgames", "simulate", "--treatment",
+             "1", "--groups", "1", flag, "3000000000",
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=_limit_memory)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+
+def copy_source_tree(dest: Path) -> None:
+    """What a build reads: setup.py, pyproject.toml, README.md and src/,
+    without built or cached files."""
+    for name in ("setup.py", "pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, dest / name)
+    shutil.copytree(ROOT / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so",
+                                                  "*.egg-info"))
+
+
+class TestPackaging:
+    @pytest.mark.skipif(shutil.which("false") is None,
+                        reason="no `false` command to stand in for a compiler")
+    def test_failed_kernel_build_still_succeeds(self, tmp_path):
+        pytest.importorskip("setuptools")
+        copy_source_tree(tmp_path)
+        env = dict(os.environ, CC="false")
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext",
+             "--build-lib", str(tmp_path / "lib"),
+             "--build-temp", str(tmp_path / "temp")],
+            cwd=tmp_path, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert ('building extension "maxentgames._fastcore" failed'
+                in proc.stdout + proc.stderr)
+        assert not list(tmp_path.rglob("_fastcore*.so"))
+
+    def test_version_has_one_source(self, tmp_path):
+        pytest.importorskip("setuptools")
+        copy_source_tree(tmp_path)
+        proc = subprocess.run([sys.executable, "setup.py", "--version"],
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == maxentgames.__version__
+
 
 
 class TestInstalledEntryPoints:

@@ -6,6 +6,7 @@ reproduce it bit for bit on every workload, not just in distribution.
 
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -187,6 +188,33 @@ class TestKernelBehavior:
 
 # malformed calls: a short probability table, a long one, a list for a
 # tuple, and a float for an integer argument
+# integer arguments out of range or not integers at all: each must fail in
+# the argument checks, before a state is drawn or a list allocated
+BAD_INTEGER_CALLS = """
+    (2**40, 10, (0.5,) * 6, 1),
+    (2**64, 10, (0.5,) * 6, 1),
+    (-2**64, 10, (0.5,) * 6, 1),
+    (4, 2**31, (0.5,) * 6, 1),
+    (4, 2**40, (0.5,) * 6, 1),
+    (4, -2**70, (0.5,) * 6, 1),
+    (4, 10, (0.5,) * 6, 1.5),
+    (4, 10, (0.5,) * 6, 'x'),
+    (4.0, 10, (0.5,) * 6, 1),
+    (4, 4.0, (0.5,) * 6, 1),
+"""
+BAD_INTEGER_ERRORS = [
+    "ValueError compiled kernel supports populations up to 64",
+    "ValueError compiled kernel supports populations up to 64",
+    "ValueError population size must be >= 1",
+    "ValueError rounds must be at most 2147483647",
+    "ValueError rounds must be at most 2147483647",
+    "ValueError rounds must be >= 1",
+    "TypeError 'float' object cannot be interpreted as an integer",
+    "TypeError 'str' object cannot be interpreted as an integer",
+    "TypeError 'float' object cannot be interpreted as an integer",
+    "TypeError 'float' object cannot be interpreted as an integer",
+]
+
 MALFORMED_CALLS = """
 import maxentgames.kernels as k
 calls = [
@@ -195,6 +223,7 @@ calls = [
     (4, 10, [0.5] * 6, 1),
     (4.7, 10, (0.5,) * 6, 1),
     (4, 10.0, (0.5,) * 6, 1),
+""" + BAD_INTEGER_CALLS + """
 ]
 for args in calls:
     try:
@@ -207,12 +236,22 @@ for args in calls:
 # malformed direct kernel calls, bypassing kernels.simulate_session
 DIRECT_CALLS = """
 from maxentgames import {module} as impl
-for probs in ((0.5, 0.5), (0.5,), (0.5,) * 7, ()):
+calls = [(4, 10, probs, 1) for probs in ((0.5, 0.5), (0.5,), (0.5,) * 7, ())]
+calls += [
+""" + BAD_INTEGER_CALLS + """
+]
+for args in calls:
     try:
-        print("ok", impl.simulate_session(4, 10, probs, 1))
+        print("ok", impl.simulate_session(*args))
     except Exception as exc:
         print(type(exc).__name__, exc)
 """
+
+
+def _limit_memory():
+    """Cap a child's address space at 1 GiB, so a kernel that ran a bad
+    call instead of refusing it fails fast rather than filling memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestCheckedEntryPoint:
@@ -226,7 +265,8 @@ class TestCheckedEntryPoint:
     def test_malformed_calls_fail_alike(self, backend):
         env = dict(os.environ, MAXENTGAMES_BACKEND=backend)
         proc = subprocess.run([sys.executable, "-c", MALFORMED_CALLS],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env,
+                              timeout=120, preexec_fn=_limit_memory)
         states = _purecore.simulate_session(4, 10, (0.5,) * 6, 1)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
@@ -235,21 +275,22 @@ class TestCheckedEntryPoint:
             f"ok {states}",
             "TypeError 'float' object cannot be interpreted as an integer",
             "TypeError 'float' object cannot be interpreted as an integer",
-        ]
+        ] + BAD_INTEGER_ERRORS
 
     @pytest.mark.parametrize("module", [
         "_purecore", pytest.param("_fastcore", marks=needs_fastcore)])
     def test_direct_calls_check_the_table(self, module):
         proc = subprocess.run(
             [sys.executable, "-c", DIRECT_CALLS.format(module=module)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=_limit_memory)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
             "ValueError the probability table takes 6 entries, got 2",
             "ValueError the probability table takes 6 entries, got 1",
             "ValueError the probability table takes 6 entries, got 7",
             "ValueError the probability table takes 6 entries, got 0",
-        ]
+        ] + BAD_INTEGER_ERRORS
 
     @needs_fastcore
     def test_compiled_kernel_takes_only_a_tuple(self):

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxentgames import (
-    EmptySession,
     LatticeDistribution,
     MeanObservation,
-    OutOfRange,
     degeneracies,
     lattice_cells,
     mean_observation,
@@ -37,7 +35,8 @@ class TestDegeneracy:
 
     @pytest.mark.parametrize("n", [0, 517])
     def test_population_outside_limits_rejected(self, n):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=rf"^population size must be "
+                           rf"(positive|at most 516), got {n}$"):
             degeneracies(n)
 
     @given(n=st.integers(min_value=1, max_value=8))
@@ -75,13 +74,16 @@ class TestSocialState:
 
     @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (5, 0), (0, 5)])
     def test_rejects_outside_lattice(self, i, j):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=rf"^state \({i}, {j}\) outside "
+                           "lattice for n=4$"):
             tally([(i, j)], n=4)
 
     def test_rejects_empty_population(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError,
+                           match="^population size must be positive, got 0$"):
             tally([(0, 0)], n=0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError,
+                           match="^population size must be positive, got 0$"):
             LatticeDistribution(n=0, counts=[1])
 
 
@@ -116,11 +118,13 @@ class TestDistribution:
             LatticeDistribution(n=4, counts=flat(4, {(0, 0): -1}))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySession):
+        with pytest.raises(ValueError, match="^a distribution needs at least "
+                           "one observation$"):
             LatticeDistribution(n=4, counts=flat(4, {}))
 
     def test_cell_outside_lattice_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match="^26 counts do not cover the 25 "
+                           "cells of the lattice for n=4$"):
             LatticeDistribution(n=4, counts=flat(4, {}) + [1])
 
     def test_equality(self):
@@ -138,7 +142,8 @@ class TestTally:
         assert dist.counts == flat(4, {(1, 2): 2, (4, 0): 1})
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(EmptySession):
+        with pytest.raises(ValueError, match="^a distribution needs at least "
+                           "one observation$"):
             tally([], n=4)
 
 

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxentgames import (
-    EmptySession,
-    InvalidProbability,
-    InvalidRounds,
     MeanObservation,
-    OutOfRange,
     ParseError,
     PolicySpec,
     SessionRecord,
@@ -46,19 +42,24 @@ class TestPolicySpec:
         assert back.p == p and back.q == q
 
     def test_mixed_rejects_bad_probability(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError,
+                           match=r"^p must be in \[0, 1\], got 1\.2$"):
             mixed_policy(1.2, 0.5)
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError,
+                           match=r"^q must be in \[0, 1\], got -0\.1$"):
             mixed_policy(0.5, -0.1)
 
     def test_logit_rejects_bad_intensity(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError, match=r"^intensity must be finite "
+                           r"and >= 0, got -1\.0$"):
             logit_policy(-1.0)
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError, match=r"^intensity must be finite "
+                           r"and >= 0, got inf$"):
             logit_policy(float("inf"))
 
     def test_logit_rejects_bad_initial_mix(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError,
+                           match=r"^init_p must be in \[0, 1\], got 2\.0$"):
             logit_policy(1.0, init_p=2.0)
 
     def test_parse_rejects_garbage(self):
@@ -126,19 +127,21 @@ class TestSessionRecord:
         assert parse_policy(record.policy_id) == mixed_policy(0.5, 0.5)
 
     def test_rejects_empty(self):
-        with pytest.raises(EmptySession):
+        with pytest.raises(ValueError, match="^a distribution needs at least "
+                           "one observation$"):
             SessionRecord(treatment_id=1, seed=0, n=4, rounds=(),
                           policy_id="iid_mixed(p=0.5,q=0.5)")
 
     def test_rejects_out_of_range_state(self):
-        with pytest.raises(OutOfRange,
-                           match=r"state \(5, 0\) outside lattice for n=4"):
+        with pytest.raises(ValueError,
+                           match=r"^state \(5, 0\) outside lattice for n=4$"):
             SessionRecord(treatment_id=1, seed=0, n=4, rounds=((5, 0),),
                           policy_id="iid_mixed(p=0.5,q=0.5)")
 
     def test_rejects_empty_population(self):
         # (0, 0) is on the n = 0 "lattice", so only the n check catches it
-        with pytest.raises(OutOfRange, match="population size"):
+        with pytest.raises(ValueError,
+                           match="^population size must be positive, got 0$"):
             SessionRecord(treatment_id=1, seed=0, n=0, rounds=((0, 0),),
                           policy_id="iid_mixed(p=0.5,q=0.5)")
 
@@ -165,7 +168,7 @@ class TestRunSession:
         assert a == b
 
     def test_rejects_nonpositive_rounds(self):
-        with pytest.raises(InvalidRounds):
+        with pytest.raises(ValueError, match="^rounds must be >= 1$"):
             run_session(get_treatment(1), rounds=0)
 
     def test_rejects_unknown_matching(self):
@@ -203,7 +206,7 @@ class TestRunEnsemble:
         assert len(records) == treatment.groups
 
     def test_rejects_nonpositive_groups(self):
-        with pytest.raises(EmptySession):
+        with pytest.raises(ValueError, match="^groups must be >= 1, got 0$"):
             run_ensemble(get_treatment(1), groups=0, rounds=5)
 
 

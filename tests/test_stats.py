@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from maxentgames import (
     DegenerateTheory,
-    InsufficientData,
-    InvalidConfidence,
     LatticeDistribution,
     MaxentPrediction,
     MeanObservation,
@@ -160,7 +158,8 @@ class TestChiSquare:
 
     def test_invalid_significance(self):
         observed = microstate_counts()
-        with pytest.raises(InvalidConfidence):
+        with pytest.raises(ValueError,
+                           match=r"^significance must be in \(0, 1\), got 0\.0$"):
             chi_square_gof(observed, fit_prediction(observed),
                            significance=0.0)
 
@@ -351,11 +350,13 @@ class TestSummarize:
         assert stats.sample_count == 3
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ValueError,
+                           match="^summary needs at least 2 values, got 1$"):
             summarize([0.5])
 
     def test_invalid_confidence(self):
-        with pytest.raises(InvalidConfidence):
+        with pytest.raises(ValueError,
+                           match=r"^confidence must be in \(0, 1\), got 1\.0$"):
             summarize([1.0, 2.0], confidence=1.0)
 
     def test_constant_sample_collapses(self):
@@ -418,9 +419,11 @@ class TestOneSampleTTest:
         assert report.ci_low > 0.0 and report.p_value < 0.05
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ValueError,
+                           match="^summary needs at least 2 values, got 1$"):
             one_sample_t_test([1.0])
 
     def test_invalid_confidence(self):
-        with pytest.raises(InvalidConfidence):
+        with pytest.raises(ValueError,
+                           match=r"^confidence must be in \(0, 1\), got 0\.0$"):
             one_sample_t_test([1.0, 2.0], confidence=0.0)
