@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .lattice import (LatticeDistribution, MeanObservation,
-                      check_population, degeneracies, lattice_cells)
+                      degeneracies, lattice_cells)
 from .special import chi_square_quantile
 
 _NORMALIZATION_TOL = 1e-9
@@ -55,7 +55,13 @@ def entropy(densities: Sequence[float], n: int) -> float:
     point mass on a non-degenerate corner, one for the uniform distribution
     over microstates.
     """
-    check_population(n)
+    return _entropy(densities, n, degeneracies(n))
+
+
+def _entropy(densities: Sequence[float], n: int,
+             degeneracy: Sequence[int]) -> float:
+    """`entropy`, crediting each cell with its entry of `degeneracy`, which
+    is degeneracies(n): a fit passes the vector it has built already."""
     if len(densities) != (n + 1) ** 2:
         raise ValueError(f"{len(densities)} densities do not cover the "
                          f"{(n + 1) ** 2} cells of the lattice for n={n}")
@@ -63,7 +69,7 @@ def entropy(densities: Sequence[float], n: int) -> float:
     if abs(total - 1.0) > _NORMALIZATION_TOL:
         raise ValueError(f"densities sum to {total!r}, expected 1")
     terms = []
-    for (i, j), rho, d in zip(lattice_cells(n), densities, degeneracies(n)):
+    for (i, j), rho, d in zip(lattice_cells(n), densities, degeneracy):
         if rho < 0.0:
             raise ValueError(f"negative density at ({i}, {j})")
         if rho > 0.0:
@@ -86,12 +92,12 @@ def binomial_prediction(mean: MeanObservation, n: int) -> MaxentPrediction:
     observation.  Boundary means are allowed and concentrate all mass on the
     corresponding lattice edge (0^0 = 1).
     """
-    check_population(n)
+    degeneracy = degeneracies(n)
     p, q = mean.o_p, mean.o_q
     densities = [d * p ** i * (1.0 - p) ** (n - i)
                  * q ** j * (1.0 - q) ** (n - j)
-                 for (i, j), d in zip(lattice_cells(n), degeneracies(n))]
-    s_t = entropy(densities, n)
+                 for (i, j), d in zip(lattice_cells(n), degeneracy)]
+    s_t = _entropy(densities, n, degeneracy)
     return MaxentPrediction(n=n, densities=densities, mean=mean, s_t=s_t)
 
 

@@ -10,7 +10,10 @@ Formats are deliberately boring and fully deterministic:
 * analysis JSON: canonical rendering (sorted keys, 17-significant-digit
   floats), byte-stable across runs and platforms.  Non-finite floats are
   written as the `Infinity`/`NaN` literals Python's `json` reads; strict
-  RFC 8259 parsers reject them.
+  RFC 8259 parsers reject them.  The encoder walks the value once,
+  appending to one list joined at the end, and escapes strings with
+  `json.encoder.encode_basestring`, the function `json.dumps(s,
+  ensure_ascii=False)` calls.
 * lattice SVG: hand-assembled markup, no drawing library, so identical
   input yields identical bytes.
 
@@ -20,12 +23,13 @@ Every output file goes through `write_text`: UTF-8 with LF line endings.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring  # json.dumps, ensure_ascii=False
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import ParseError, RangeError, SchemaError, read_input
 from .lattice import (LatticeDistribution, check_population, lattice_cells,
@@ -43,44 +47,64 @@ ENSEMBLE_CONFIDENCE = 0.99  # CI of the d_te and z summaries, not the t tests
 # ---------------------------------------------------------------------------
 # canonical JSON
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def format_float(value: float) -> str:
     """`%.17g`, with `.0` kept on whole numbers: reads back exactly, but is
     not repr's shortest form (0.1 gives "0.10000000000000001")."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
     text = format(value, ".17g")
+    if "." in text or "e" in text:
+        return text
     # keep floats typed as floats on the way back in
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
+    return _NON_FINITE.get(text) or text + ".0"
 
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, fixed float formatting.  Output is
     byte-identical for equal inputs, so reports can be diffed and hashed."""
+    parts: list[str] = []
+    _encode(obj, parts.append)
+    return "".join(parts)
+
+
+def _encode(obj: Any, emit: Callable[[str], None]) -> None:
+    # bool before int: True is an int too
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = []
+        emit("null")
+    elif isinstance(obj, bool):
+        emit("true" if obj else "false")
+    elif isinstance(obj, int):
+        emit(str(obj))
+    elif isinstance(obj, float):
+        emit(format_float(obj))
+    elif isinstance(obj, str):
+        emit(encode_basestring(obj))
+    elif isinstance(obj, (list, tuple)):
+        separator = "["
+        for value in obj:
+            emit(separator)
+            separator = ","
+            _encode(value, emit)
+        emit("[]" if separator == "[" else "]")
+    elif isinstance(obj, dict):
+        separator = "{"
         for key in sorted(obj):
             if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(json.dumps(key, ensure_ascii=False) + ":"
-                         + canonical_json(obj[key]))
-        return "{" + ",".join(items) + "}"
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+                raise TypeError(
+                    f"JSON object keys must be strings, got {key!r}")
+            value = obj[key]
+            # most of a report is floats in objects: one call for the pair
+            if type(value) is float:
+                emit(f"{separator}{encode_basestring(key)}:"
+                     f"{format_float(value)}")
+            else:
+                emit(f"{separator}{encode_basestring(key)}:")
+                _encode(value, emit)
+            separator = ","
+        emit("{}" if separator == "{" else "}")
+    else:
+        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -96,17 +120,17 @@ def write_text(path: str | Path, text: str) -> None:
 _CSV_HEADER = "round,x1_count,y1_count"
 
 
+def _csv_head(record: SessionRecord) -> str:
+    """The canonical CSV's metadata and header lines, each ending in LF."""
+    return (f"# n={record.n}\n# treatment={record.treatment_id}\n"
+            f"# seed={record.seed}\n# policy={record.policy_id}\n"
+            f"{_CSV_HEADER}\n")
+
+
 def session_to_csv(record: SessionRecord) -> str:
-    lines = [
-        f"# n={record.n}",
-        f"# treatment={record.treatment_id}",
-        f"# seed={record.seed}",
-        f"# policy={record.policy_id}",
-        _CSV_HEADER,
-    ]
-    for r, (i, j) in enumerate(record.rounds, start=1):
-        lines.append(f"{r},{i},{j}")
-    return "\n".join(lines) + "\n"
+    rows = "\n".join([f"{r},{i},{j}"
+                      for r, (i, j) in enumerate(record.rounds, start=1)])
+    return f"{_csv_head(record)}{rows}\n"
 
 
 def _csv_digest(text: str) -> str:
@@ -244,17 +268,25 @@ def session_from_csv(text: str) -> SessionRecord:
     policy_id, policy_line = meta.get(
         "policy", (mixed_policy(0.5, 0.5).label(), 0))
 
-    rounds = None if extended else _plain_count_rows(lines[body_start:], n)
-    if rounds is None:
+    body = lines[body_start:]
+    rounds = None if extended else _plain_count_rows(body, n)
+    plain = rounds is not None
+    if not plain:
         rounds = _checked_rows(lines, body_start, n, extended)
     if not rounds:
         raise SchemaError("session file has no data rows")
     # each other check the record makes was made above, with a line number
     try:
-        return SessionRecord(treatment_id=treatment_id, seed=seed, n=n,
-                             rounds=tuple(rounds), policy_id=policy_id)
+        record = SessionRecord(treatment_id=treatment_id, seed=seed, n=n,
+                               rounds=tuple(rounds), policy_id=policy_id)
     except ParseError as exc:
         raise ParseError(f"line {policy_line}: {exc}") from None
+    # a plain body is the canonical rows, so a text that is the canonical
+    # head plus that body is session_to_csv(record): keep its digest, as
+    # the record keeps its tally (not a field, so == and hash ignore it)
+    if plain and text == _csv_head(record) + "\n".join(body) + "\n":
+        object.__setattr__(record, "_digest", _csv_digest(text))
+    return record
 
 
 def read_session_csv(path: str | Path) -> SessionRecord:
@@ -264,8 +296,13 @@ def read_session_csv(path: str | Path) -> SessionRecord:
 def session_digest(record: SessionRecord) -> str:
     """sha256 of the record's canonical CSV serialization, not of the bytes
     it was read from: inputs that parse to the same record (CRLF line
-    endings, a byte-order mark, the per-agent schema) share one digest."""
-    return _csv_digest(session_to_csv(record))
+    endings, a byte-order mark, the per-agent schema) share one digest.
+    A record read from text that is already its canonical CSV carries that
+    text's digest, so it is not serialized again."""
+    digest = getattr(record, "_digest", None)
+    if digest is None:
+        digest = _csv_digest(session_to_csv(record))
+    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +392,12 @@ def summarize_ensemble(reports: Sequence[AnalysisReport]) -> EnsembleSummary:
 # ---------------------------------------------------------------------------
 # report JSON
 
+@lru_cache(maxsize=4)
+def _cell_keys(n: int) -> tuple[str, ...]:
+    """The "i,j" keys of the lattice for n, in row-major order."""
+    return tuple(f"{i},{j}" for i, j in lattice_cells(n))
+
+
 def to_obj(value: Any) -> Any:
     """JSON-ready form of a report dataclass, with each row-major per-cell
     vector (a list field) written as an object keyed "i,j"."""
@@ -362,8 +405,7 @@ def to_obj(value: Any) -> Any:
         return {f.name: to_obj(getattr(value, f.name))
                 for f in fields(value)}
     if isinstance(value, list):
-        n = math.isqrt(len(value)) - 1
-        return {f"{i},{j}": v for (i, j), v in zip(lattice_cells(n), value)}
+        return dict(zip(_cell_keys(math.isqrt(len(value)) - 1), value))
     return value
 
 

@@ -4,16 +4,18 @@ Each oracle recomputes a quantity by a route deliberately different from
 the library's: entropy by enumerating every individual action profile,
 equilibria by searching for best-response indifference on a grid plus
 bisection, degeneracy by explicit profile counting, the Maxent density by
-Newton iteration on the Lagrangian dual.  Agreement between the two routes
-is what the derived test values rest on.
+Newton iteration on the Lagrangian dual, canonical JSON by recursive string
+concatenation with one `json.dumps` per string.  Agreement between the two
+routes is what the derived test values rest on.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from maxentgames import (MeanObservation, degeneracies, fit_prediction,
                          lattice_cells, session_digest)
@@ -196,3 +198,44 @@ def dual_maxent_solve(mean: MeanObservation, n: int,
         raise ArithmeticError(
             f"dual solver weights not finite at theta {theta}")
     return [w / z for w in weights]
+
+
+def reference_format_float(value: float) -> str:
+    """`%.17g` with `.0` on whole numbers and `NaN`/`Infinity` literals,
+    classifying the value before formatting it."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    text = format(value, ".17g")
+    if not any(c in text for c in ".eE"):
+        text += ".0"
+    return text
+
+
+def reference_canonical_json(obj: Any) -> str:
+    """Canonical JSON (sorted keys, reference_format_float floats), each
+    value rendered to its own string and concatenated on the way up; the
+    oracle for sessionio.canonical_json, errors included."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return reference_format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_canonical_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"JSON object keys must be strings, got {key!r}")
+            items.append(json.dumps(key, ensure_ascii=False) + ":"
+                         + reference_canonical_json(obj[key]))
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")

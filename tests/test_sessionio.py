@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, is_dataclass
@@ -46,7 +47,8 @@ from maxentgames.cli import main
 from maxentgames.sessionio import (_checked_rows, _plain_count_rows,
                                    format_float, to_obj)
 
-from oracles import fit_and_digest, flat
+from oracles import (fit_and_digest, flat, reference_canonical_json,
+                     reference_format_float)
 
 
 # a bad byte is reported on the line str.splitlines puts it on
@@ -114,6 +116,43 @@ session_strategy = st.builds(
 )
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# every double by its bit pattern, plus the edges of %.17g: signed zeros,
+# subnormals, non-finite values and whole numbers around 1e16 and 1e17
+FLOATS = st.one_of(
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     math.inf, -math.inf, math.nan, -math.nan, 1e16, 1e17,
+                     9007199254740993.0, 99999999999999984.0]),
+    st.integers(-10 ** 18, 10 ** 18).map(float))
+JSON_STRINGS = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x9f)),  # C0 and C1 controls
+    st.sampled_from(["é", "\u2028", "\ud800", "\"\\", "日本"]),
+    st.text().map(_Str))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers().map(_Int),
+              FLOATS, FLOATS.map(_Float), JSON_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=4)),
+    max_leaves=24)
+
+
 class TestFloatFormatting:
     def test_plain_floats_keep_a_decimal_point(self):
         assert format_float(1.0) == "1.0"
@@ -131,6 +170,10 @@ class TestFloatFormatting:
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
     def test_round_trip_property(self, value):
         assert float(format_float(value)) == value
+
+    @given(value=FLOATS)
+    def test_matches_the_oracle(self, value):
+        assert format_float(value) == reference_format_float(value)
 
 
 class TestCanonicalJson:
@@ -159,6 +202,57 @@ class TestCanonicalJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             canonical_json({"x": {1, 2}})
+
+    @given(obj=JSON_VALUES)
+    def test_matches_the_oracle(self, obj):
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1: "x"}, {"a": 1, "b": {2.5: None}}, {(1, 2): []}, {"a": 1, 2: 3},
+        {"x": {1, 2}}, [b"bytes"], {"b": 1j, "a": [0, frozenset()]},
+        (None, object())])
+    def test_errors_match_the_oracle(self, obj):
+        with pytest.raises(TypeError) as expected:
+            reference_canonical_json(obj)
+        with pytest.raises(TypeError) as got:
+            canonical_json(obj)
+        assert str(got.value) == str(expected.value)
+
+
+def per_agent_csv(record):
+    """The record in the per-agent schema: each round's action-1 players
+    first on each side."""
+    n = record.n
+    lines = [f"# n={n}", f"# treatment={record.treatment_id}",
+             f"# seed={record.seed}", f"# policy={record.policy_id}",
+             ",".join(["round"] + [f"x{k}" for k in range(1, n + 1)]
+                      + [f"y{k}" for k in range(1, n + 1)])]
+    for r, (i, j) in enumerate(record.rounds, start=1):
+        bits = [1] * i + [0] * (n - i) + [1] * j + [0] * (n - j)
+        lines.append(",".join(map(str, [r, *bits])))
+    return "\n".join(lines) + "\n"
+
+
+# a canonical CSV as written, and edits of it that still parse to the
+# same rounds but are not the canonical CSV of what they parse to
+CSV_VARIANTS = {
+    "canonical": lambda text: text,
+    # the mark is dropped before parsing, so what is parsed is canonical
+    "byte_order_mark": lambda text: "\ufeff" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "padded_seed": lambda text: text.replace("# seed=5\n", "# seed=005\n"),
+    "extra_metadata": lambda text: "# note=x\n" + text,
+    "reordered_metadata": lambda text: text.replace(
+        "# treatment=1\n# seed=5\n", "# seed=5\n# treatment=1\n"),
+    "no_policy_line": lambda text: "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith("# policy=")),
+    "comment": lambda text: text.replace("\n3,", "\n# note\n3,"),
+    "blank_line": lambda text: text.replace("\n3,", "\n\n3,"),
+    "no_final_newline": lambda text: text[:-1],
+    "per_agent": lambda text: per_agent_csv(session_from_csv(text)),
+}
 
 
 class TestSessionCsv:
@@ -359,6 +453,26 @@ class TestSessionCsv:
         assert report_json(report) == report_json(plain_report)
         assert report.input_digest == session_digest(record)
         assert main(["analyze", str(marked)]) == 0
+
+    @pytest.mark.parametrize("variant", list(CSV_VARIANTS))
+    def test_digest_of_what_was_read_is_the_canonical_digest(
+            self, tmp_path, monkeypatch, variant):
+        record = run_session(get_treatment(1), rounds=50, seed=5)
+        path = tmp_path / "session.csv"
+        text = CSV_VARIANTS[variant](session_to_csv(record))
+        assert (text == session_to_csv(record)) == (variant == "canonical")
+        path.write_bytes(text.encode("utf-8"))
+        back = read_session_csv(path)
+        assert back.rounds == record.rounds
+        serialized = count_calls(monkeypatch, session_to_csv)
+        digest = session_digest(back)
+        canonical = variant in ("canonical", "byte_order_mark")
+        assert len(serialized) == (0 if canonical else 1)
+        assert digest == hashlib.sha256(
+            session_to_csv(back).encode("utf-8")).hexdigest()
+        if canonical:  # the kept digest is not part of the record's value
+            assert back == record and hash(back) == hash(record)
+            assert digest == write_session_csv(back, tmp_path / "again.csv")
 
     def test_digest_is_stable_and_input_sensitive(self):
         a = session_digest(tiny_record())
@@ -653,8 +767,10 @@ class TestTallyAndFitOnce:
         svg = tmp_path / "svg"
         assert main(["analyze", *map(str, paths), "--svg", str(svg),
                      "--json", str(tmp_path / "report.json")]) == 0
-        assert {k: len(v) for k, v in counters.items()} == dict.fromkeys(
-            counters, 6)
+        # simulate writes canonical CSVs, so each digest is taken from the
+        # text read and no session is serialized again
+        assert {k: len(v) for k, v in counters.items()} == {
+            **dict.fromkeys(counters, 6), "session_to_csv": 0}
         last = {p.stem: p for p in paths}
         assert sorted(p.stem for p in svg.glob("*.svg")) == sorted(last)
         assert len(drawn) == len(last) == 4
